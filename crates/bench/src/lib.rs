@@ -1,9 +1,9 @@
 //! # gqos-bench — the experiment harness
 //!
 //! One binary per table/figure of the ICDCS 2009 paper (see DESIGN.md §4
-//! for the index), plus Criterion micro-benchmarks. Each binary prints the
-//! paper's rows/series next to the measured values and writes CSV into
-//! `results/`.
+//! for the index), plus the `perf_report` kernel timings. Each binary
+//! prints the paper's rows/series next to the measured values and writes
+//! CSV into `results/`.
 //!
 //! Shared here: command-line configuration, table/CSV output helpers, and
 //! the paper's published reference numbers.

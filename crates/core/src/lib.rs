@@ -18,7 +18,7 @@
 //!    ([`FairQueueScheduler`]), or slack-stealing ([`MiserScheduler`],
 //!    Algorithm 2).
 //! 3. **Plan capacity** with [`CapacityPlanner`] — binary search for
-//!    `Cmin(f, δ)` — and price graduated SLAs from the resulting menu.
+//!    `Cmin(f, δ)` — and quote graduated SLAs from the resulting menu.
 //! 4. **Consolidate clients** with [`ConsolidationStudy`]: sums of reshaped
 //!    capacities accurately predict multiplexed requirements.
 //!
@@ -57,18 +57,14 @@ mod admission;
 mod cascade;
 mod consolidate;
 mod degrade;
-mod edf;
 mod fair;
 mod fleet;
-mod graduated;
 mod kernel;
 mod miser;
 mod offline;
 mod planner;
-mod pricing;
 mod rtt;
 mod shaper;
-mod sla;
 mod split;
 mod target;
 mod tenant;
@@ -82,24 +78,20 @@ pub use degrade::{
     AdaptiveScheduler, AdmissionLog, AdmissionRecord, CapacityAdaptive, DegradationController,
     DegradationPolicy,
 };
-pub use edf::{EdfScheduler, LatePolicy};
 pub use fair::FairQueueScheduler;
 pub use fleet::{
     FleetError, FleetPlacer, FleetTenant, PackStats, Placement, QuoteCache, ServerBin,
 };
-pub use graduated::GraduatedScheduler;
 pub use kernel::{overflow_curve, within_miss_budget_curve};
 pub use miser::MiserScheduler;
 pub use offline::{rtt_period_bound, slotted_lower_bound, OptimalityCheck};
 pub use planner::{CapacityPlanner, MenuError, SeedCurve, SlaQuote};
-pub use pricing::{PricingModel, Quote};
 pub use rtt::{
     checked_max_queue, decompose, decompose_with_budget, optimal_drop_lower_bound, overflow_count,
     within_miss_budget, CapacityOverflow, DecomposeScratch, Decomposition, RttClassifier,
     ScratchDecomposition,
 };
 pub use shaper::{RecombinePolicy, WorkloadShaper};
-pub use sla::{sla_from_fractions, SlaDistribution, SlaVerification, TargetOutcome};
 pub use split::{SplitScheduler, SPLIT_OVERFLOW_SERVER, SPLIT_PRIMARY_SERVER};
 pub use target::{Provision, QosTarget};
 pub use tenant::{merge_tenants, MultiTenantScheduler, TenantConfig, TenantId};

@@ -17,7 +17,7 @@
 
 use std::fmt;
 
-use gqos_fairqueue::{FlowId, FlowScheduler, HierarchicalSfq, LeafId, Sfq};
+use gqos_fairqueue::{FlowId, HierarchicalSfq, LeafId, Sfq};
 use gqos_sim::{Dispatch, Scheduler, ServerId, ServiceClass};
 use gqos_trace::{Iops, Request, RequestId, SimDuration, SimTime, Workload};
 

@@ -15,7 +15,6 @@ use std::fmt;
 use gqos_trace::Request;
 
 use crate::flow::{validate_weights, FlowId};
-use crate::scheduler::FlowScheduler;
 use crate::sfq::Sfq;
 
 /// A leaf address in the hierarchy: `(group, leaf within group)`.

@@ -257,8 +257,7 @@ impl LatencySketch {
     /// (`LatencySketch::min`) and `quantile(1.0)` equals [`max`]
     /// (`LatencySketch::max`), bit for bit. Returns 0 for an empty sketch —
     /// the same value empty [`min`](LatencySketch::min) and
-    /// [`max`](LatencySketch::max) report (`gqos_sim::LatencyHistogram`
-    /// wraps this in `Option` instead; both agree wherever a value exists).
+    /// [`max`](LatencySketch::max) report.
     ///
     /// # Panics
     ///
@@ -377,6 +376,13 @@ mod tests {
             probes.extend([base - 1, base, base + 1]);
             probes.push(base | (base >> 1)); // mid-octave
         }
+        // Regressions from the old float `log2` bucketing, which put each
+        // of these in a bucket capped just below the value itself.
+        probes.extend([
+            549_755_813_888_001,
+            1_099_511_627_776_002,
+            924_575_386_326_617,
+        ]);
         for &v in &probes {
             let i = LatencySketch::bucket_index(v);
             let upper = LatencySketch::bucket_upper(i);

@@ -1,14 +1,11 @@
 //! Deterministic time-ordered event queues.
 //!
-//! Three implementations share one ordering contract (documented on
+//! Two implementations share one ordering contract (documented on
 //! [`EventKind`] and in DESIGN.md §13):
 //!
 //! - [`EventQueue`] — a hierarchical **timing wheel** (64-slot levels,
 //!   nanosecond resolution) with O(1) amortized push/pop. This is the
 //!   engine's workhorse.
-//! - [`BinaryHeapEventQueue`] — the original binary-heap queue, kept as the
-//!   reference implementation ("oracle") that the wheel is differentially
-//!   tested against.
 //! - [`IndexedEventQueue`] — the engine-facing facade: the wheel plus the
 //!   engine's uniqueness bookkeeping (one pending arrival, one pending
 //!   completion per server). Unlike its previous incarnation, `pop` no
@@ -36,9 +33,6 @@
 //! `(at, kind, seq)`, which keeps the pop sequence identical to the binary
 //! heap's for every schedule the engine can produce (see the equivalence
 //! tests and `tests/wheel_props.rs`).
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use gqos_trace::SimTime;
 
@@ -119,7 +113,8 @@ fn placement(now: u64, key: u64) -> (usize, usize) {
 ///
 /// Implemented as a hierarchical timing wheel (see the module docs): push
 /// and pop are O(1) amortized regardless of queue population, and pop order
-/// is bit-identical to [`BinaryHeapEventQueue`].
+/// is bit-identical to a binary heap keyed on `(at, kind, insertion order)`
+/// (the reference oracle in `tests/heap_oracle`).
 ///
 /// # Examples
 ///
@@ -265,64 +260,6 @@ impl EventQueue {
     }
 }
 
-/// The original binary-heap event queue, kept as the reference
-/// implementation the timing wheel is differentially tested against.
-///
-/// Same API and pop order as [`EventQueue`]; O(log n) push/pop. Prefer
-/// [`EventQueue`] everywhere except when an independent oracle is the
-/// point.
-///
-/// # Examples
-///
-/// ```
-/// use gqos_sim::{BinaryHeapEventQueue, Event, EventKind};
-/// use gqos_trace::SimTime;
-///
-/// let mut q = BinaryHeapEventQueue::new();
-/// q.push(Event { at: SimTime::from_secs(5), kind: EventKind::Retry { server: 0 } });
-/// assert_eq!(q.peek_time(), Some(SimTime::from_secs(5)));
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct BinaryHeapEventQueue {
-    heap: BinaryHeap<Reverse<(SimTime, EventKind, u64)>>,
-    seq: u64,
-}
-
-impl BinaryHeapEventQueue {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        BinaryHeapEventQueue::default()
-    }
-
-    /// Schedules an event.
-    pub fn push(&mut self, event: Event) {
-        self.heap.push(Reverse((event.at, event.kind, self.seq)));
-        self.seq += 1;
-    }
-
-    /// Removes and returns the earliest event.
-    pub fn pop(&mut self) -> Option<Event> {
-        self.heap
-            .pop()
-            .map(|Reverse((at, kind, _))| Event { at, kind })
-    }
-
-    /// The timestamp of the earliest event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse((at, _, _))| *at)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// `true` if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
 /// The engine's event queue: the timing wheel plus the engine's uniqueness
 /// invariants —
 ///
@@ -334,8 +271,8 @@ impl BinaryHeapEventQueue {
 ///   scheduler may re-announce an eligibility time).
 ///
 /// Violations of the uniqueness invariants are engine bookkeeping bugs and
-/// panic at `push`. Pop order is identical to [`EventQueue`] /
-/// [`BinaryHeapEventQueue`] — time, then [`EventKind`] (completions before
+/// panic at `push`. Pop order is identical to [`EventQueue`] and to the
+/// binary-heap oracle in `tests/heap_oracle` — time, then [`EventKind`] (completions before
 /// retries before arrivals, lower server index first), then insertion
 /// order — which the equivalence tests check on randomised schedules.
 ///
@@ -618,60 +555,5 @@ mod tests {
     fn indexed_queue_rejects_out_of_range_retry() {
         let mut q = IndexedEventQueue::new(2);
         q.push(at(1, EventKind::Retry { server: 2 }));
-    }
-
-    /// On any engine-feasible schedule (one arrival slot, one completion
-    /// slot per server, stackable retries) the indexed queue must pop in
-    /// exactly the heap queue's order.
-    #[test]
-    fn indexed_queue_matches_heap_on_random_schedules() {
-        // Small deterministic LCG so this test needs no external RNG.
-        let mut state = 0x3c6e_f372_fe94_f82au64;
-        let mut next = move |bound: u64| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) % bound
-        };
-        for servers in 1..4usize {
-            for _round in 0..200 {
-                let mut heap = BinaryHeapEventQueue::new();
-                let mut indexed = IndexedEventQueue::new(servers);
-                let mut arrival_used = false;
-                let mut completion_used = vec![false; servers];
-                for _ in 0..12 {
-                    let t = SimTime::from_millis(next(6));
-                    let kind = match next(3) {
-                        0 if !arrival_used => {
-                            arrival_used = true;
-                            EventKind::Arrival {
-                                index: next(10) as usize,
-                            }
-                        }
-                        1 => {
-                            let s = next(servers as u64) as usize;
-                            if completion_used[s] {
-                                continue;
-                            }
-                            completion_used[s] = true;
-                            EventKind::Completion { server: s }
-                        }
-                        _ => EventKind::Retry {
-                            server: next(servers as u64) as usize,
-                        },
-                    };
-                    let e = Event { at: t, kind };
-                    heap.push(e);
-                    indexed.push(e);
-                }
-                loop {
-                    let (a, b) = (heap.pop(), indexed.pop());
-                    assert_eq!(a, b, "queues diverged ({servers} servers)");
-                    if a.is_none() {
-                        break;
-                    }
-                }
-            }
-        }
     }
 }

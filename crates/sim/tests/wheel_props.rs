@@ -1,12 +1,16 @@
 //! Differential property tests: the timing-wheel [`EventQueue`] must pop
-//! in exactly the order of the [`BinaryHeapEventQueue`] oracle on arbitrary
+//! in exactly the order of the binary-heap oracle (`heap_oracle`) on arbitrary
 //! event sequences — interleaved pushes and pops, timestamp ties on every
 //! kind, magnitudes spanning all eleven wheel levels, and pushes into the
 //! past. No external property-testing crate: a deterministic splitmix-style
 //! generator drives thousands of randomised rounds.
 
-use gqos_sim::{BinaryHeapEventQueue, Event, EventKind, EventQueue, IndexedEventQueue};
+mod heap_oracle;
+
+use gqos_sim::{Event, EventKind, EventQueue, IndexedEventQueue};
 use gqos_trace::SimTime;
+
+use heap_oracle::BinaryHeapEventQueue;
 
 /// Deterministic 64-bit generator (splitmix64) so failures replay exactly.
 struct Rng(u64);
@@ -192,6 +196,61 @@ fn indexed_queue_matches_heap_at_fleet_scale() {
             loop {
                 let (a, b) = (oracle.pop(), indexed.pop());
                 assert_eq!(a, b, "drain diverged ({servers} servers, round {round})");
+                if a.is_none() {
+                    break;
+                }
+            }
+        }
+    }
+}
+
+/// On any engine-feasible schedule (one arrival slot, one completion
+/// slot per server, stackable retries) the indexed queue must pop in
+/// exactly the heap queue's order.
+#[test]
+fn indexed_queue_matches_heap_on_random_schedules() {
+    // Small deterministic LCG so this test needs no external RNG.
+    let mut state = 0x3c6e_f372_fe94_f82au64;
+    let mut next = move |bound: u64| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) % bound
+    };
+    for servers in 1..4usize {
+        for _round in 0..200 {
+            let mut heap = BinaryHeapEventQueue::new();
+            let mut indexed = IndexedEventQueue::new(servers);
+            let mut arrival_used = false;
+            let mut completion_used = vec![false; servers];
+            for _ in 0..12 {
+                let t = SimTime::from_millis(next(6));
+                let kind = match next(3) {
+                    0 if !arrival_used => {
+                        arrival_used = true;
+                        EventKind::Arrival {
+                            index: next(10) as usize,
+                        }
+                    }
+                    1 => {
+                        let s = next(servers as u64) as usize;
+                        if completion_used[s] {
+                            continue;
+                        }
+                        completion_used[s] = true;
+                        EventKind::Completion { server: s }
+                    }
+                    _ => EventKind::Retry {
+                        server: next(servers as u64) as usize,
+                    },
+                };
+                let e = Event { at: t, kind };
+                heap.push(e);
+                indexed.push(e);
+            }
+            loop {
+                let (a, b) = (heap.pop(), indexed.pop());
+                assert_eq!(a, b, "queues diverged ({servers} servers)");
                 if a.is_none() {
                     break;
                 }

@@ -1,10 +1,11 @@
 //! Deterministic micro-benchmark report: the repo's perf trajectory seed.
 //!
-//! Runs the planner / RTT / simulation kernels over fixed synthetic traces
-//! (fixed seed, fixed iteration counts — the *work* is deterministic, only
-//! the wall-clock varies) and writes `BENCH_core.json`: one record per
-//! kernel with the median ns/op across samples. CI runs a reduced-sample
-//! pass and archives the JSON; trend tooling diffs records by `name`.
+//! Runs the planner / RTT / simulation / latency-sketch kernels over fixed
+//! synthetic traces (fixed seed, fixed iteration counts — the *work* is
+//! deterministic, only the wall-clock varies) and writes `BENCH_core.json`:
+//! one record per kernel with the median ns/op across samples. CI runs a
+//! reduced-sample pass and archives the JSON; trend tooling diffs records
+//! by `name`.
 //!
 //! Also asserts the serial-vs-parallel SLA-menu equivalence contract on
 //! every run: `CapacityPlanner::menu` and `menu_parallel` must quote
@@ -35,6 +36,7 @@ use gqos_core::{
     decompose, overflow_count, overflow_curve, within_miss_budget, CapacityPlanner,
     DecomposeScratch, FcfsScheduler, FleetPlacer, QosTarget, QuoteCache, RttClassifier,
 };
+use gqos_obs::{LatencySketch, WindowedSketch};
 use gqos_parallel::WorkerPool;
 use gqos_sim::{simulate, Event, EventKind, FixedRateServer, IndexedEventQueue, ServiceClass};
 use gqos_trace::gen::profiles::TraceProfile;
@@ -473,6 +475,49 @@ fn main() {
         );
         println!("  fleet speedup assertion: cached >= {floor}x naive ok");
     }
+
+    // --- Latency sketches ------------------------------------------------
+    // A fixed latency stream spread over ten octaves, 100 µs .. ~100 ms.
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    let latencies: Vec<u64> = (0..1_000_000)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let octave = 100_000u64 << ((state >> 60) % 10);
+            octave + (state >> 20) % octave
+        })
+        .collect();
+    let record_ns = measure(samples, 1, || {
+        let mut sketch = LatencySketch::new();
+        for &v in &latencies {
+            sketch.record(v);
+        }
+        sketch.count()
+    });
+    push(
+        "obs/sketch_record",
+        record_ns / latencies.len() as f64,
+        latencies.len() as u64,
+    );
+    // One gateway lane's window feedback: 5000 completions spread over
+    // 1200 windows of 50 ms, every closed window returned as a snapshot.
+    let window = SimDuration::from_millis(50);
+    let lane: Vec<(SimTime, u64)> = latencies[..5_000]
+        .iter()
+        .enumerate()
+        .map(|(i, &v)| (SimTime::from_nanos(i as u64 * 12_000_000), v))
+        .collect();
+    let fold_ns = measure(samples, 20, || {
+        let mut windowed = WindowedSketch::new(window);
+        let mut snapshots = Vec::new();
+        for &(at, v) in &lane {
+            snapshots.extend(windowed.record(at, v).expect("time-ordered lane"));
+        }
+        snapshots.push(windowed.finish());
+        snapshots.len()
+    });
+    push("obs/window_fold_lane", fold_ns, lane.len() as u64);
 
     // --- JSON ------------------------------------------------------------
     let fused = records

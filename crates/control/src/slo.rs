@@ -326,7 +326,7 @@ impl SloController {
     /// Attaches a [`LongTermStore`] retention ladder, so every window fed
     /// through [`observe_snapshot`](Self::observe_snapshot) or
     /// [`ingest_window`](Self::ingest_window) also lands in a tiered,
-    /// fixed-memory history. The history is **read-only context**: it
+    /// bounded-memory history. The history is **read-only context**: it
     /// informs operators (and [`drift_context`](Self::drift_context))
     /// but never changes what the loop commands.
     #[must_use]

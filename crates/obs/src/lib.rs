@@ -22,7 +22,7 @@
 //!   no-signal outcome for all-empty windows so feedback controllers never
 //!   mistake a quiet window's empty-sketch zero quantile for a latency.
 //! - **Long-horizon retention** ([`LongTermStore`], [`longterm`]): a
-//!   fixed-memory, per-tenant ring of window sketches with tiered
+//!   bounded-memory, per-tenant ring of window sketches with tiered
 //!   downsampling (e.g. 1 s → 1 min → 1 h) implemented purely by sketch
 //!   `merge`, so every coarse tier is provably lossless relative to its
 //!   source windows; queryable as percentile-over-time series and

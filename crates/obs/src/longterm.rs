@@ -1,4 +1,4 @@
-//! Long-horizon retention: fixed-memory, per-tenant latency history.
+//! Long-horizon retention: bounded-memory, per-tenant latency history.
 //!
 //! A run-scoped [`crate::WindowedSketch`] answers "what happened in this
 //! window"; nothing in the crate retained *history*, so multi-hour soak
@@ -8,7 +8,8 @@
 //! coarser tier holds wider buckets (1 min, 1 h, …) covering further
 //! back in time, and every tier has a fixed bucket capacity — total
 //! memory is bounded by the [`RetentionConfig`] no matter how long the
-//! run is.
+//! run is: resident sketches × at most 15 KB each, usually far less,
+//! since a sketch stores only its occupied bucket range.
 //!
 //! # Downsampling is merging, so every tier is lossless
 //!
@@ -114,8 +115,9 @@ impl RetentionConfig {
 
     /// Upper bound on live sketches **per tenant**: every ring at
     /// capacity, plus one open bucket per tier, plus the cumulative
-    /// sketch. The store's memory is this bound times the tenant count,
-    /// independent of run length.
+    /// sketch. The store's memory is this bound times the tenant count
+    /// times at most 15 KB per sketch, usually far less, independent of
+    /// run length.
     pub fn max_resident_sketches(&self) -> usize {
         self.tiers.iter().map(|t| t.capacity).sum::<usize>() + self.tiers.len() + 1
     }
@@ -226,7 +228,7 @@ pub struct HeatmapRow<K> {
     pub cells: Vec<SeriesPoint>,
 }
 
-/// A fixed-memory, per-tenant long-horizon latency history.
+/// A bounded-memory, per-tenant long-horizon latency history.
 ///
 /// Keys are any ordered type — tenant names, `TenantId`s — and queries
 /// iterate tenants in key order, so results are deterministic.

@@ -15,6 +15,18 @@
 //! into `2^SUB_BITS` equal sub-buckets of width `2^(e-SUB_BITS)`, so a
 //! bucket's upper bound overestimates any member by less than
 //! `width / lower ≤ 1/2^SUB_BITS` of its value.
+//!
+//! # Storage
+//!
+//! A sketch stores counts only for its occupied bucket range,
+//! `bucket_index(min)..=bucket_index(max)`: a `Vec<u64>` plus the range's
+//! first bucket index. An empty sketch holds no heap at all. The range is
+//! canonical — fixed by the exact tracked `min` and `max`, never trimmed
+//! and never padded — so two sketches of the same multiset store the same
+//! range, whatever the recording order or merge tree, and the derived
+//! equality compares them exactly. A sketch spanning every octave, the
+//! worst case, holds all 1920 buckets (15 KB); one whose values lie
+//! within a few octaves of each other holds 32 buckets per octave.
 
 /// Sub-bucket resolution: each octave is split into `2^SUB_BITS` buckets.
 const SUB_BITS: u32 = 5;
@@ -28,11 +40,6 @@ const SUBS: u64 = 1 << SUB_BITS;
 /// quantile `q̂` versus the exact quantile `q` obeys
 /// `q ≤ q̂ ≤ q · (1 + RELATIVE_ERROR_BOUND)`.
 pub const RELATIVE_ERROR_BOUND: f64 = 1.0 / SUBS as f64;
-
-/// Octaves above the linear region: exponents `SUB_BITS..64`.
-const OCTAVES: usize = (64 - SUB_BITS) as usize;
-/// Total bucket count: the linear region plus `SUBS` buckets per octave.
-const BUCKETS: usize = SUBS as usize + OCTAVES * SUBS as usize;
 
 /// The nearest-rank index for quantile `q` over `n` values: `⌈q·n⌉`
 /// clamped to `[1, n]`, computed in pure integer (`u128`) arithmetic.
@@ -131,7 +138,11 @@ pub fn nearest_rank(q: f64, n: u64) -> u64 {
 /// ```
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct LatencySketch {
-    counts: Box<[u64; BUCKETS]>,
+    /// Counts of buckets `lo..lo + counts.len()`: exactly the buckets of
+    /// `min..=max` when non-empty, and no allocation when empty.
+    counts: Vec<u64>,
+    /// The bucket index of `counts[0]`; 0 when empty.
+    lo: usize,
     total: u64,
     min: u64,
     max: u64,
@@ -148,7 +159,8 @@ impl LatencySketch {
     /// Creates an empty sketch.
     pub fn new() -> Self {
         LatencySketch {
-            counts: vec![0u64; BUCKETS].into_boxed_slice().try_into().unwrap(),
+            counts: Vec::new(),
+            lo: 0,
             total: 0,
             min: u64::MAX,
             max: 0,
@@ -190,14 +202,61 @@ impl LatencySketch {
         }
     }
 
+    /// Adds `n` to bucket `index`, widening the stored range first when
+    /// `index` falls outside it.
+    #[inline]
+    fn add_to_bucket(&mut self, index: usize, n: u64) {
+        let offset = index.wrapping_sub(self.lo);
+        if offset < self.counts.len() {
+            self.counts[offset] += n;
+        } else {
+            self.widen_and_add(index, n);
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn widen_and_add(&mut self, index: usize, n: u64) {
+        self.widen(index, index);
+        self.counts[index - self.lo] += n;
+    }
+
+    /// Grows the stored range to cover buckets `first..=last` with zero
+    /// counts, keeping every stored count at its bucket.
+    fn widen(&mut self, first: usize, last: usize) {
+        if self.counts.is_empty() {
+            self.lo = first;
+        } else if first < self.lo {
+            let extra = self.lo - first;
+            self.counts.splice(0..0, std::iter::repeat_n(0, extra));
+            self.lo = first;
+        }
+        let len = last + 1 - self.lo;
+        if len > self.counts.len() {
+            self.counts.resize(len, 0);
+        }
+    }
+
+    /// The storage invariant: the stored range is exactly the buckets of
+    /// `min..=max`, or nothing at all when empty.
+    fn range_is_canonical(&self) -> bool {
+        if self.total == 0 {
+            self.counts.is_empty() && self.lo == 0
+        } else {
+            self.lo == Self::bucket_index(self.min)
+                && self.lo + self.counts.len() == Self::bucket_index(self.max) + 1
+        }
+    }
+
     /// Records one latency value (nanoseconds).
     #[inline]
     pub fn record(&mut self, value: u64) {
-        self.counts[Self::bucket_index(value)] += 1;
+        self.add_to_bucket(Self::bucket_index(value), 1);
         self.total += 1;
         self.min = self.min.min(value);
         self.max = self.max.max(value);
         self.sum += value as u128;
+        debug_assert!(self.range_is_canonical());
     }
 
     /// Records `n` copies of `value` in O(1) — bit-identical to calling
@@ -208,11 +267,12 @@ impl LatencySketch {
         if n == 0 {
             return;
         }
-        self.counts[Self::bucket_index(value)] += n;
+        self.add_to_bucket(Self::bucket_index(value), n);
         self.total += n;
         self.min = self.min.min(value);
         self.max = self.max.max(value);
         self.sum += u128::from(value) * u128::from(n);
+        debug_assert!(self.range_is_canonical());
     }
 
     /// Number of recorded values.
@@ -279,10 +339,12 @@ impl LatencySketch {
             return self.min;
         }
         let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
+        for (offset, &c) in self.counts.iter().enumerate() {
             seen += c;
             if seen >= rank {
-                return Self::bucket_upper(i).min(self.max).max(self.min);
+                return Self::bucket_upper(self.lo + offset)
+                    .min(self.max)
+                    .max(self.min);
             }
         }
         self.max
@@ -296,13 +358,14 @@ impl LatencySketch {
     /// compares `count_at_most(δ) × denom` against `f_num × count()` in
     /// `u128` so its verdicts are exactly reproducible.
     pub fn count_at_most(&self, threshold: u64) -> u64 {
-        let mut below = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            if c != 0 && Self::bucket_upper(i) <= threshold {
-                below += c;
-            }
-        }
-        below
+        // Bucket upper bounds ascend with the index, so the qualifying
+        // buckets are a prefix of the stored range.
+        self.counts
+            .iter()
+            .enumerate()
+            .take_while(|&(offset, _)| Self::bucket_upper(self.lo + offset) <= threshold)
+            .map(|(_, &c)| c)
+            .sum()
     }
 
     /// The exact fraction of recorded values `<= threshold`, up to bucket
@@ -321,13 +384,20 @@ impl LatencySketch {
     /// *exactly* equivalent to having built one sketch over the concatenated
     /// stream — bit-identical counts, min, max, and sum.
     pub fn merge(&mut self, other: &LatencySketch) {
-        for (dst, src) in self.counts.iter_mut().zip(other.counts.iter()) {
+        if other.is_empty() {
+            return;
+        }
+        self.widen(other.lo, other.lo + other.counts.len() - 1);
+        let offset = other.lo - self.lo;
+        let dst = &mut self.counts[offset..offset + other.counts.len()];
+        for (dst, src) in dst.iter_mut().zip(&other.counts) {
             *dst += src;
         }
         self.total += other.total;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
         self.sum += other.sum;
+        debug_assert!(self.range_is_canonical());
     }
 
     /// The non-empty buckets as `(upper_bound, count)` pairs, ascending.
@@ -336,7 +406,7 @@ impl LatencySketch {
             .iter()
             .enumerate()
             .filter(|(_, &c)| c != 0)
-            .map(|(i, &c)| (Self::bucket_upper(i), c))
+            .map(|(offset, &c)| (Self::bucket_upper(self.lo + offset), c))
             .collect()
     }
 }
@@ -397,6 +467,29 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn full_range_is_1920_buckets() {
+        // The linear region plus SUBS buckets for each octave 5..64: the
+        // widest stored range, and the 15 KB worst case the docs quote.
+        assert_eq!(LatencySketch::bucket_index(u64::MAX), 1919);
+        let mut s = LatencySketch::new();
+        s.record(0);
+        s.record(u64::MAX);
+        assert_eq!(s.counts.len(), 1920);
+        assert_eq!(s.counts.len() * std::mem::size_of::<u64>(), 15 * 1024);
+    }
+
+    #[test]
+    fn empty_sketch_holds_no_heap() {
+        let mut s = LatencySketch::new();
+        assert_eq!(s.counts.capacity(), 0);
+        s.merge(&LatencySketch::new());
+        assert_eq!(s.counts.capacity(), 0);
+        s.record_n(1_000, 0);
+        assert_eq!(s.counts.capacity(), 0);
+        assert_eq!(s, LatencySketch::new());
     }
 
     #[test]

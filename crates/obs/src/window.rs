@@ -124,7 +124,6 @@ pub struct WindowedSketch {
     window: SimDuration,
     index: u64,
     current: LatencySketch,
-    cumulative: LatencySketch,
 }
 
 impl WindowedSketch {
@@ -140,7 +139,6 @@ impl WindowedSketch {
             window,
             index: 0,
             current: LatencySketch::new(),
-            cumulative: LatencySketch::new(),
         }
     }
 
@@ -209,15 +207,7 @@ impl WindowedSketch {
         }
         let closed = self.advance_to(at);
         self.current.record(value);
-        self.cumulative.record(value);
         Ok(closed)
-    }
-
-    /// The sketch of **every** value recorded so far, across all windows
-    /// — bit-identical to the merge of all emitted snapshots plus the
-    /// still-open window.
-    pub fn cumulative(&self) -> &LatencySketch {
-        &self.cumulative
     }
 
     /// Closes the still-open window and returns its snapshot, consuming
@@ -272,14 +262,22 @@ mod tests {
         // already-closed window into the *current* window, attributing its
         // latency to the wrong point in time.
         let mut w = WindowedSketch::new(SimDuration::from_millis(10));
-        w.record(SimTime::from_millis(25), 1).unwrap();
+        let mut snapshots = w.record(SimTime::from_millis(25), 1).unwrap();
+        let before = w.clone();
         let err = w.record(SimTime::from_millis(5), 2).unwrap_err();
         assert_eq!(err.at, SimTime::from_millis(5));
         assert_eq!(err.window_start, SimTime::from_millis(20));
         // Nothing was recorded and no window state moved.
-        assert_eq!(w.cumulative().count(), 1);
+        assert_eq!(w, before);
         assert_eq!(w.current_index(), 2);
-        assert_eq!(w.finish().sketch().count(), 1);
+        snapshots.push(w.finish());
+        let mut merged = LatencySketch::new();
+        for snap in &snapshots {
+            merged.merge(snap.sketch());
+        }
+        let mut unwindowed = LatencySketch::new();
+        unwindowed.record(1);
+        assert_eq!(merged, unwindowed);
     }
 
     #[test]

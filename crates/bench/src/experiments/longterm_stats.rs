@@ -101,7 +101,9 @@ fn lanes(cfg: &ExpConfig) -> Vec<TenantSpec> {
 pub fn feed(reports: &[TenantReport], window: SimDuration) -> LongTermStore<String> {
     let mut store = LongTermStore::new(ladder());
     for report in reports {
-        report.feed_longterm(window, &mut store);
+        report
+            .feed_longterm(window, &mut store)
+            .expect("each tenant is fed once into a fresh store");
     }
     store
 }

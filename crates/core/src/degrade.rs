@@ -212,6 +212,22 @@ pub trait CapacityAdaptive: Scheduler {
     fn primary_backlog(&self) -> u64;
 }
 
+/// Lets [`AdaptiveScheduler`] wrap the boxed scheduler that
+/// [`RecombinePolicy::parts`](crate::RecombinePolicy::parts) returns.
+impl<T: CapacityAdaptive + ?Sized> CapacityAdaptive for Box<T> {
+    fn renegotiate(&mut self, factor: f64) {
+        (**self).renegotiate(factor);
+    }
+
+    fn degradation_factor(&self) -> f64 {
+        (**self).degradation_factor()
+    }
+
+    fn primary_backlog(&self) -> u64 {
+        (**self).primary_backlog()
+    }
+}
+
 /// The unshaped baseline has no admission bound to renegotiate; the
 /// degradation invariant is vacuous for it.
 impl CapacityAdaptive for FcfsScheduler {

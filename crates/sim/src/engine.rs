@@ -3,7 +3,7 @@
 use gqos_obs::TraceHandle;
 use gqos_trace::{SimDuration, Workload};
 
-use crate::metrics::{CompletionRecord, RunReport};
+use crate::metrics::RunReport;
 use crate::scheduler::Scheduler;
 use crate::server::ServiceModel;
 use crate::streaming::StreamingSimulation;
@@ -85,35 +85,6 @@ impl<'w, S: Scheduler> Simulation<'w, S> {
 
     /// Runs the simulation to quiescence and returns the report.
     ///
-    /// # Panics
-    ///
-    /// Panics if no server was added, or if the scheduler requests a retry
-    /// at a non-future instant.
-    pub fn run(self) -> RunReport {
-        let total = self.workload.len();
-        self.run_with_buffer(Vec::with_capacity(total))
-    }
-
-    /// Like [`run`](Simulation::run), but records completions into
-    /// `records` (cleared first), so sweeps that simulate many workloads
-    /// can recycle one allocation via
-    /// [`RunReport::into_records`]:
-    ///
-    /// ```
-    /// use gqos_sim::{FcfsScheduler, FixedRateServer, Simulation};
-    /// use gqos_trace::{Iops, SimTime, Workload};
-    ///
-    /// let mut buffer = Vec::new();
-    /// for arrivals in [[SimTime::ZERO; 2], [SimTime::from_secs(1); 2]] {
-    ///     let w = Workload::from_arrivals(arrivals);
-    ///     let report = Simulation::new(&w, FcfsScheduler::new())
-    ///         .server(FixedRateServer::new(Iops::new(100.0)))
-    ///         .run_with_buffer(buffer);
-    ///     assert_eq!(report.completed(), 2);
-    ///     buffer = report.into_records();
-    /// }
-    /// ```
-    ///
     /// The batch run is implemented on top of
     /// [`StreamingSimulation`](crate::StreamingSimulation) — offering every
     /// request of the workload in order — so batch and streamed runs of the
@@ -123,19 +94,17 @@ impl<'w, S: Scheduler> Simulation<'w, S> {
     ///
     /// Panics if no server was added, or if the scheduler requests a retry
     /// at a non-future instant.
-    pub fn run_with_buffer(self, mut records: Vec<CompletionRecord>) -> RunReport {
+    pub fn run(self) -> RunReport {
         assert!(
             !self.servers.is_empty(),
             "simulation needs at least one server"
         );
-        records.clear();
-        records.reserve(self.workload.len());
         let mut streaming = StreamingSimulation::from_parts(
             self.scheduler,
             self.servers,
             self.trace,
             self.deadline,
-            records,
+            self.workload.len(),
         );
         for &request in self.workload.requests() {
             streaming.offer(request);

@@ -67,8 +67,8 @@ impl RunReport {
         &self.records
     }
 
-    /// Consumes the report, returning its record buffer so the next run can
-    /// reuse the allocation (see `Simulation::run_with_buffer`).
+    /// Consumes the report, returning its completion records without a
+    /// copy.
     pub fn into_records(self) -> Vec<CompletionRecord> {
         self.records
     }

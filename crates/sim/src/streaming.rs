@@ -113,19 +113,20 @@ impl<S: Scheduler> StreamingSimulation<S> {
     }
 
     /// Assembles a streaming simulation from a batch
-    /// [`Simulation`](crate::Simulation)'s parts, recycling `buffer` for
-    /// the completion records.
+    /// [`Simulation`](crate::Simulation)'s parts, with room for `records`
+    /// completion records.
     pub(crate) fn from_parts(
         scheduler: S,
         servers: Vec<Box<dyn ServiceModel>>,
         trace: TraceHandle,
         deadline: Option<SimDuration>,
-        buffer: Vec<CompletionRecord>,
+        records: usize,
     ) -> Self {
-        let mut sim = StreamingSimulation::new(scheduler).with_completion_buffer(buffer);
+        let mut sim = StreamingSimulation::new(scheduler);
         sim.servers = servers;
         sim.trace = trace;
         sim.deadline = deadline;
+        sim.completions = Vec::with_capacity(records);
         sim
     }
 
@@ -152,14 +153,6 @@ impl<S: Scheduler> StreamingSimulation<S> {
     /// in trace events. Without one, completions carry no verdict.
     pub fn deadline(mut self, deadline: SimDuration) -> Self {
         self.deadline = Some(deadline);
-        self
-    }
-
-    /// Replaces the internal completion buffer with `buffer` (cleared),
-    /// recycling its allocation.
-    pub fn with_completion_buffer(mut self, mut buffer: Vec<CompletionRecord>) -> Self {
-        buffer.clear();
-        self.completions = buffer;
         self
     }
 

@@ -25,12 +25,10 @@
 //! chaos harness pins: **offered == completed on both lanes** — shedding
 //! demotes, migration redirects, nothing is ever dropped.
 
-use gqos_sim::{StreamingSimulation, TraceEvent, TraceHandle};
-use gqos_trace::{Request, SimDuration, SimTime, Workload};
+use gqos_sim::{TraceEvent, TraceHandle};
+use gqos_trace::{SimDuration, SimTime, Workload};
 
-use crate::gateway::{ShedScheduler, TenantReport, TenantSpec};
-use crate::shaper::policy_parts;
-use crate::source::{ArrivalStream, WorkloadStream};
+use crate::gateway::{run_lane, TenantReport, TenantSpec};
 
 /// The handoff window of a drain-and-migrate: shedding starts at `start`
 /// and the target bin takes over at `start + window`.
@@ -153,19 +151,22 @@ pub fn drain_migrate(
         tenant,
         from_server,
     });
+    let lane = |workload: Workload| TenantSpec {
+        name: spec.name.clone(),
+        workload,
+        ..*spec
+    };
     let window_shed = spec.workload.window(plan.start, plan.end()).len() as u64;
-    let old = run_lane_part(
-        spec,
-        spec.workload.window(SimTime::ZERO, plan.end()),
+    let old = run_lane(
+        lane(spec.workload.window(SimTime::ZERO, plan.end())),
         Some(plan.start),
         trace.clone(),
         |_| {},
     );
     let new_workload = spec.workload.window(plan.end(), SimTime::MAX);
     let migrated = new_workload.len() as u64;
-    let new = run_lane_part(
-        spec,
-        new_workload,
+    let new = run_lane(
+        lane(new_workload),
         None,
         TraceHandle::disabled(),
         |request| {
@@ -191,62 +192,6 @@ pub fn drain_migrate(
         new,
         window_shed,
         migrated,
-    }
-}
-
-/// Drives one lane over `workload` with the spec's shaper, policy, and
-/// inbox bound — `run_lane` with an optional drain cutover, a shed trace,
-/// and an offer hook.
-fn run_lane_part(
-    spec: &TenantSpec,
-    workload: Workload,
-    drain_from: Option<SimTime>,
-    shed_trace: TraceHandle,
-    mut on_offer: impl FnMut(&Request),
-) -> TenantReport {
-    let (scheduler, servers) = policy_parts(
-        spec.shaper.provision(),
-        spec.shaper.deadline(),
-        spec.policy,
-        None,
-    );
-    let mut shed = ShedScheduler::with_trace(scheduler, spec.inbox_bound, shed_trace);
-    if let Some(at) = drain_from {
-        shed = shed.with_drain_from(at);
-    }
-    let mut sim = StreamingSimulation::new(shed);
-    for server in servers {
-        sim = sim.server(server);
-    }
-    let mut stream = WorkloadStream::new(workload, spec.chunk);
-    let mut buf = Vec::new();
-    let mut peak_chunk_bytes = 0usize;
-    loop {
-        let n = stream
-            .next_chunk(&mut buf)
-            .expect("workload streams cannot fail");
-        if n == 0 {
-            break;
-        }
-        peak_chunk_bytes = peak_chunk_bytes.max(n * std::mem::size_of::<Request>());
-        for &request in buf.iter() {
-            on_offer(&request);
-            sim.offer(request);
-        }
-    }
-    sim.finish();
-    let shed = sim.scheduler().shed_count();
-    let report = sim.into_report();
-    TenantReport {
-        name: spec.name.clone(),
-        policy: spec.policy,
-        offered: report.total_requests(),
-        completed: report.completed(),
-        shed,
-        end_time: report.end_time(),
-        peak_chunk_bytes,
-        sketch: report.response_sketch(),
-        records: report.into_records(),
     }
 }
 
@@ -357,13 +302,7 @@ mod tests {
             SimDuration::from_millis(1),
         );
         let report = drain_migrate(&s, plan, 1, 0, 1, &TraceHandle::disabled());
-        let plain = run_lane_part(
-            &s,
-            s.workload.clone(),
-            None,
-            TraceHandle::disabled(),
-            |_| {},
-        );
+        let plain = run_lane(s.clone(), None, TraceHandle::disabled(), |_| {});
         assert_eq!(report.old.records, plain.records);
         assert_eq!(report.window_shed, 0);
         assert_eq!(report.migrated, 0);

@@ -27,13 +27,13 @@ use std::fmt;
 use gqos_core::RecombinePolicy;
 use gqos_parallel::WorkerPool;
 use gqos_sim::{
-    CompletionRecord, Dispatch, LatencySketch, LongTermStore, Scheduler, ServerId, ServiceClass,
-    StreamingSimulation, TraceEvent, TraceHandle, WindowSnapshot, WindowedSketch,
+    CompletionRecord, Dispatch, LatencySketch, LongTermStore, OutOfOrderInstant, Scheduler,
+    ServerId, ServiceClass, TraceEvent, TraceHandle, WindowSnapshot, WindowedSketch,
 };
 use gqos_trace::{Request, SimDuration, SimTime, Workload};
 
-use crate::shaper::policy_parts;
-use crate::source::{ArrivalStream, WorkloadStream};
+use crate::shaper::feed;
+use crate::source::WorkloadStream;
 use crate::OnlineShaper;
 
 /// Wraps a policy scheduler with a bounded inbox: arrivals beyond the
@@ -263,15 +263,25 @@ impl TenantReport {
     /// Keep `window` no wider than (and dividing) the store's tier-0
     /// width for exact time attribution.
     ///
+    /// # Errors
+    ///
+    /// Returns the store's [`OutOfOrderInstant`] if it already holds later
+    /// history for this tenant than a snapshot's start (for instance,
+    /// after an earlier feed of the same tenant). The feed stops at that
+    /// snapshot: the store keeps every snapshot before it, and neither it
+    /// nor any later snapshot is fed.
+    ///
     /// # Panics
     ///
     /// Panics if `window` is zero.
-    pub fn feed_longterm(&self, window: SimDuration, store: &mut LongTermStore<String>) {
-        for snapshot in self.window_feedback(window) {
-            store
-                .ingest_snapshot(&self.name, &snapshot)
-                .expect("window feedback snapshots are time-ordered");
-        }
+    pub fn feed_longterm(
+        &self,
+        window: SimDuration,
+        store: &mut LongTermStore<String>,
+    ) -> Result<(), OutOfOrderInstant> {
+        self.window_feedback(window)
+            .iter()
+            .try_for_each(|snapshot| store.ingest_snapshot(&self.name, snapshot))
     }
 }
 
@@ -321,7 +331,9 @@ impl IngestGateway {
     /// worker count: for a fixed `tenants` list the reports are
     /// byte-identical whether the pool is serial or 8-wide.
     pub fn run(&self, tenants: Vec<TenantSpec>) -> Vec<TenantReport> {
-        self.pool.map(tenants, run_lane)
+        self.pool.map(tenants, |spec| {
+            run_lane(spec, None, TraceHandle::disabled(), |_| {})
+        })
     }
 }
 
@@ -331,36 +343,29 @@ impl fmt::Display for IngestGateway {
     }
 }
 
-/// Drives one tenant lane start to finish. Lanes run untraced: trace
-/// handles are single-threaded by design (`Rc`-shared sinks), so sharded
-/// lanes report through counters and sketches instead.
-fn run_lane(spec: TenantSpec) -> TenantReport {
-    let (scheduler, servers) = policy_parts(
-        spec.shaper.provision(),
-        spec.shaper.deadline(),
-        spec.policy,
-        None,
-    );
-    let mut sim = StreamingSimulation::new(ShedScheduler::new(scheduler, spec.inbox_bound));
-    for server in servers {
-        sim = sim.server(server);
-    }
+/// Drives one tenant lane start to finish with the spec's shaper, policy
+/// and inbox bound. `drain_from`, `shed_trace` and `on_offer` serve
+/// [`drain_migrate`](crate::drain_migrate): a drain cutover, a trace for
+/// the sheds and a hook on every offered request. Gateway lanes pass
+/// none of them and run untraced: trace handles are single-threaded by
+/// design (`Rc`-shared sinks), so sharded lanes report through counters
+/// and sketches instead.
+pub(crate) fn run_lane(
+    spec: TenantSpec,
+    drain_from: Option<SimTime>,
+    shed_trace: TraceHandle,
+    on_offer: impl FnMut(&Request),
+) -> TenantReport {
+    let mut sim = spec.shaper.simulation(spec.policy, |scheduler| {
+        let shed = ShedScheduler::with_trace(scheduler, spec.inbox_bound, shed_trace);
+        match drain_from {
+            Some(at) => shed.with_drain_from(at),
+            None => shed,
+        }
+    });
     let mut stream = WorkloadStream::new(spec.workload, spec.chunk);
-    let mut buf = Vec::new();
-    let mut peak_chunk_bytes = 0usize;
-    loop {
-        let n = stream
-            .next_chunk(&mut buf)
-            .expect("workload streams cannot fail");
-        if n == 0 {
-            break;
-        }
-        peak_chunk_bytes = peak_chunk_bytes.max(n * std::mem::size_of::<Request>());
-        for &request in buf.iter() {
-            sim.offer(request);
-        }
-    }
-    sim.finish();
+    let fed =
+        feed(&mut stream, &mut sim, on_offer, |_| Ok(())).expect("workload streams cannot fail");
     let shed = sim.scheduler().shed_count();
     let report = sim.into_report();
     TenantReport {
@@ -370,7 +375,7 @@ fn run_lane(spec: TenantSpec) -> TenantReport {
         completed: report.completed(),
         shed,
         end_time: report.end_time(),
-        peak_chunk_bytes,
+        peak_chunk_bytes: fed.peak_chunk_bytes,
         sketch: report.response_sketch(),
         records: report.into_records(),
     }
@@ -400,6 +405,11 @@ mod tests {
         Workload::from_arrivals(arrivals)
     }
 
+    /// A plain gateway lane: no drain, no shed trace, no offer hook.
+    fn lane(spec: TenantSpec) -> TenantReport {
+        run_lane(spec, None, TraceHandle::disabled(), |_| {})
+    }
+
     fn specs() -> Vec<TenantSpec> {
         RecombinePolicy::ALL
             .iter()
@@ -423,7 +433,7 @@ mod tests {
         let offline = WorkloadShaper::new(shaper().provision(), shaper().deadline());
         for policy in RecombinePolicy::ALL {
             let reference = offline.run(&w, policy);
-            let report = run_lane(TenantSpec {
+            let report = lane(TenantSpec {
                 name: "t".into(),
                 workload: w.clone(),
                 shaper: shaper(),
@@ -439,7 +449,7 @@ mod tests {
 
     #[test]
     fn tight_bound_sheds_but_completes_everything() {
-        let report = run_lane(TenantSpec {
+        let report = lane(TenantSpec {
             name: "t".into(),
             workload: bursty(0),
             shaper: shaper(),
@@ -535,7 +545,7 @@ mod tests {
     #[test]
     fn longterm_feed_is_lossless_against_the_lane_sketch() {
         use gqos_sim::{LongTermStore, RetentionConfig};
-        let report = run_lane(TenantSpec {
+        let report = lane(TenantSpec {
             name: "t".into(),
             workload: bursty(0),
             shaper: shaper(),
@@ -544,10 +554,39 @@ mod tests {
             chunk: 16,
         });
         let mut store: LongTermStore<String> = LongTermStore::new(RetentionConfig::default_tiers());
-        report.feed_longterm(SimDuration::from_millis(100), &mut store);
+        report
+            .feed_longterm(SimDuration::from_millis(100), &mut store)
+            .expect("a fresh store accepts the feed");
         // The retention ladder's cumulative sketch reproduces the lane's
         // whole-run sketch bit for bit — retention loses nothing.
         assert_eq!(store.cumulative(&report.name).unwrap(), &report.sketch);
+    }
+
+    #[test]
+    fn second_longterm_feed_of_a_tenant_is_a_typed_error() {
+        // The store already holds this tenant's history up to the lane's
+        // end, so feeding the same lane again must be rejected as typed
+        // out-of-order input, not panic, and must leave the store as the
+        // first feed left it.
+        use gqos_sim::{LongTermStore, RetentionConfig};
+        // Three seconds of arrivals span several 1 s tier-0 buckets.
+        let report = lane(TenantSpec {
+            name: "t".into(),
+            workload: Workload::from_arrivals((0..600).map(|i| ms(i * 5))),
+            shaper: shaper(),
+            policy: RecombinePolicy::Miser,
+            inbox_bound: 8,
+            chunk: 16,
+        });
+        let window = SimDuration::from_millis(100);
+        let mut store: LongTermStore<String> = LongTermStore::new(RetentionConfig::default_tiers());
+        report.feed_longterm(window, &mut store).unwrap();
+        let after_first = store.clone();
+        let err = report
+            .feed_longterm(window, &mut store)
+            .expect_err("a second feed of the same history is out of order");
+        assert_eq!(err.at, SimTime::ZERO, "the first snapshot is rejected");
+        assert_eq!(store, after_first, "a rejected feed changes nothing");
     }
 
     #[test]

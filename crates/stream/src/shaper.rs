@@ -3,12 +3,11 @@
 //!
 //! [`OnlineShaper`] is the streaming counterpart of
 //! [`WorkloadShaper`](gqos_core::WorkloadShaper): the same provision, the
-//! same deadline, the same four [`RecombinePolicy`] configurations — but
-//! fed from an [`ArrivalStream`] through a
-//! [`StreamingSimulation`](gqos_sim::StreamingSimulation), so peak input
-//! memory is one resident chunk (`O(chunk)`) plus the scheduler backlog
-//! (`O(maxQ1)` for the primary queue by Algorithm 1's bound) regardless of
-//! trace length.
+//! same deadline, and the same four policies, each built by
+//! [`RecombinePolicy::parts`] — but fed from an [`ArrivalStream`] through
+//! a [`StreamingSimulation`], so peak input memory is one resident chunk
+//! (`O(chunk)`) plus the scheduler backlog (`O(maxQ1)` for the primary
+//! queue by Algorithm 1's bound) regardless of trace length.
 //!
 //! Because the streaming engine is the *same* event loop the offline
 //! engine runs on (see `gqos_sim::StreamingSimulation`), a chunked run
@@ -17,53 +16,64 @@
 //! tie-breaks, for any chunking. The golden equivalence suite in
 //! `tests/golden_equiv.rs` pins this across all four policies and chunk
 //! sizes from 1 to whole-trace.
+//!
+//! Every streamed run in this crate — the shaper's runs, the gateway's
+//! lanes and both halves of a drain-and-migrate — pulls its chunks
+//! through one loop, `feed`.
 
 use std::mem;
 
-use gqos_core::{FairQueueScheduler, MiserScheduler, Provision, RecombinePolicy, SplitScheduler};
+use gqos_core::{CapacityAdaptive, Provision, RecombinePolicy};
 use gqos_sim::{
-    CompletionRecord, FcfsScheduler, FixedRateServer, LatencySketch, LongTermStore, RunReport,
-    Scheduler, ServiceClass, StreamingSimulation, TraceHandle,
+    CompletionRecord, FixedRateServer, LatencySketch, LongTermStore, RunReport, Scheduler,
+    ServiceClass, StreamingSimulation, TraceHandle,
 };
 use gqos_trace::{Request, SimDuration, SimTime};
 
 use crate::source::{ArrivalStream, StreamError};
 
-/// Builds the scheduler and server set for `policy`, mirroring
-/// `WorkloadShaper::run` / `run_traced` exactly: same constructors, same
-/// rates, same server order. Boxing the scheduler lets one generic drive
-/// loop serve all four policies without changing any scheduling decision.
-pub(crate) fn policy_parts(
-    provision: Provision,
-    deadline: SimDuration,
-    policy: RecombinePolicy,
-    trace: Option<&TraceHandle>,
-) -> (Box<dyn Scheduler>, Vec<FixedRateServer>) {
-    let p = provision;
-    let scheduler: Box<dyn Scheduler> = match (policy, trace) {
-        (RecombinePolicy::Fcfs, None) => Box::new(FcfsScheduler::new()),
-        (RecombinePolicy::Fcfs, Some(t)) => Box::new(FcfsScheduler::with_trace(t.clone())),
-        (RecombinePolicy::Split, None) => Box::new(SplitScheduler::new(p, deadline)),
-        (RecombinePolicy::Split, Some(t)) => {
-            Box::new(SplitScheduler::with_trace(p, deadline, t.clone()))
+/// What [`feed`] counted on the input side of a run.
+#[derive(Default)]
+pub(crate) struct Fed {
+    /// Number of chunks pulled from the stream.
+    pub(crate) chunks: usize,
+    /// Largest resident chunk, in bytes (`len × size_of::<Request>()`).
+    pub(crate) peak_chunk_bytes: usize,
+}
+
+/// The one chunk loop: pulls every chunk from `stream` and offers it to
+/// `sim`, calling `on_offer` before each offer and `drain` after each
+/// chunk; then finishes the run and calls `drain` once more for the
+/// completions the finish flushed. Stops at the first error from the
+/// stream or from `drain`.
+pub(crate) fn feed<A, S>(
+    stream: &mut A,
+    sim: &mut StreamingSimulation<S>,
+    mut on_offer: impl FnMut(&Request),
+    mut drain: impl FnMut(&mut StreamingSimulation<S>) -> Result<(), StreamError>,
+) -> Result<Fed, StreamError>
+where
+    A: ArrivalStream + ?Sized,
+    S: Scheduler,
+{
+    let mut buf = Vec::new();
+    let mut fed = Fed::default();
+    loop {
+        let n = stream.next_chunk(&mut buf)?;
+        if n == 0 {
+            break;
         }
-        (RecombinePolicy::FairQueue, None) => Box::new(FairQueueScheduler::new(p, deadline)),
-        (RecombinePolicy::FairQueue, Some(t)) => {
-            Box::new(FairQueueScheduler::with_trace(p, deadline, t.clone()))
+        fed.chunks += 1;
+        fed.peak_chunk_bytes = fed.peak_chunk_bytes.max(n * mem::size_of::<Request>());
+        for &request in buf.iter() {
+            on_offer(&request);
+            sim.offer(request);
         }
-        (RecombinePolicy::Miser, None) => Box::new(MiserScheduler::new(p, deadline)),
-        (RecombinePolicy::Miser, Some(t)) => {
-            Box::new(MiserScheduler::with_trace(p, deadline, t.clone()))
-        }
-    };
-    let servers = match policy {
-        RecombinePolicy::Split => vec![
-            FixedRateServer::new(p.cmin()),
-            FixedRateServer::new(p.delta_c()),
-        ],
-        _ => vec![FixedRateServer::new(p.total())],
-    };
-    (scheduler, servers)
+        drain(sim)?;
+    }
+    sim.finish();
+    drain(sim)?;
+    Ok(fed)
 }
 
 /// The outcome of a record-accumulating streamed run: the full
@@ -177,23 +187,13 @@ impl OnlineShaper {
         stream: &mut A,
         policy: RecombinePolicy,
     ) -> Result<StreamReport, StreamError> {
-        self.drive(stream, policy, None)
-    }
-
-    /// Like [`run`](OnlineShaper::run), with the full event trace routed
-    /// into `trace` — same events, verdicts, and order as
-    /// `WorkloadShaper::run_traced`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`StreamError`] from the source.
-    pub fn run_traced<A: ArrivalStream + ?Sized>(
-        &self,
-        stream: &mut A,
-        policy: RecombinePolicy,
-        trace: TraceHandle,
-    ) -> Result<StreamReport, StreamError> {
-        self.drive(stream, policy, Some(trace))
+        let mut sim = self.simulation(policy, |scheduler| scheduler);
+        let fed = feed(stream, &mut sim, |_| {}, |_| Ok(()))?;
+        Ok(StreamReport {
+            report: sim.into_report(),
+            chunks: fed.chunks,
+            peak_chunk_bytes: fed.peak_chunk_bytes,
+        })
     }
 
     /// Streams every chunk through `policy` in bounded memory: completion
@@ -217,56 +217,10 @@ impl OnlineShaper {
         A: ArrivalStream + ?Sized,
         F: FnMut(CompletionRecord),
     {
-        let (scheduler, servers) = policy_parts(self.provision, self.deadline, policy, None);
-        let mut sim = StreamingSimulation::new(scheduler);
-        for server in servers {
-            sim = sim.server(server);
-        }
-        let mut obs = StreamObservation {
-            sketch: LatencySketch::new(),
-            primary: LatencySketch::new(),
-            overflow: LatencySketch::new(),
-            offered: 0,
-            completed: 0,
-            end_time: SimTime::ZERO,
-            chunks: 0,
-            peak_chunk_bytes: 0,
-            peak_resident_records: 0,
-        };
-        let mut buf = Vec::new();
-        let mut drain = |sim: &mut StreamingSimulation<Box<dyn Scheduler>>,
-                         obs: &mut StreamObservation| {
-            let mut resident = 0usize;
-            for record in sim.drain_completions() {
-                resident += 1;
-                let response = record.response_time().as_nanos();
-                obs.sketch.record(response);
-                match record.class {
-                    ServiceClass::PRIMARY => obs.primary.record(response),
-                    _ => obs.overflow.record(response),
-                }
-                sink(record);
-            }
-            obs.completed += resident;
-            obs.peak_resident_records = obs.peak_resident_records.max(resident);
-        };
-        loop {
-            let n = stream.next_chunk(&mut buf)?;
-            if n == 0 {
-                break;
-            }
-            obs.chunks += 1;
-            obs.peak_chunk_bytes = obs.peak_chunk_bytes.max(n * mem::size_of::<Request>());
-            for &request in buf.iter() {
-                sim.offer(request);
-            }
-            drain(&mut sim, &mut obs);
-        }
-        sim.finish();
-        drain(&mut sim, &mut obs);
-        obs.offered = sim.offered();
-        obs.end_time = sim.end_time();
-        Ok(obs)
+        self.observe(stream, policy, |record| {
+            sink(record);
+            Ok(())
+        })
     }
 
     /// Like [`run_observed`](OnlineShaper::run_observed), additionally
@@ -279,12 +233,14 @@ impl OnlineShaper {
     /// completions losslessly (bit-identical merge with whatever it
     /// already held).
     ///
-    /// Completions drain in simulation-time order, so the store's
-    /// out-of-order rejection can never fire here.
-    ///
     /// # Errors
     ///
-    /// Propagates [`StreamError`] from the source.
+    /// Propagates [`StreamError`] from the source. Returns
+    /// [`StreamError::Retention`] if the store already holds later history
+    /// for `tenant` than a completion's instant (for instance, after an
+    /// earlier run fed the same tenant). The run stops at that completion:
+    /// the store keeps every completion before it, and neither it nor any
+    /// later completion is fed.
     pub fn run_longterm<A: ArrivalStream + ?Sized>(
         &self,
         stream: &mut A,
@@ -293,47 +249,80 @@ impl OnlineShaper {
         store: &mut LongTermStore<String>,
     ) -> Result<StreamObservation, StreamError> {
         let key = tenant.to_string();
-        self.run_observed(stream, policy, |record| {
+        self.observe(stream, policy, |record| {
             store
                 .record(&key, record.completion, record.response_time().as_nanos())
-                .expect("completion-ordered drains cannot be out of order");
+                .map_err(StreamError::Retention)
         })
     }
 
-    fn drive<A: ArrivalStream + ?Sized>(
+    /// [`run_observed`](OnlineShaper::run_observed) with a sink that can
+    /// stop the run.
+    fn observe<A, F>(
         &self,
         stream: &mut A,
         policy: RecombinePolicy,
-        trace: Option<TraceHandle>,
-    ) -> Result<StreamReport, StreamError> {
-        let (scheduler, servers) =
-            policy_parts(self.provision, self.deadline, policy, trace.as_ref());
-        let mut sim = StreamingSimulation::new(scheduler);
-        for server in servers {
-            sim = sim.server(server);
+        mut sink: F,
+    ) -> Result<StreamObservation, StreamError>
+    where
+        A: ArrivalStream + ?Sized,
+        F: FnMut(CompletionRecord) -> Result<(), StreamError>,
+    {
+        let mut sim = self.simulation(policy, |scheduler| scheduler);
+        let mut obs = StreamObservation {
+            sketch: LatencySketch::new(),
+            primary: LatencySketch::new(),
+            overflow: LatencySketch::new(),
+            offered: 0,
+            completed: 0,
+            end_time: SimTime::ZERO,
+            chunks: 0,
+            peak_chunk_bytes: 0,
+            peak_resident_records: 0,
+        };
+        let fed = feed(
+            stream,
+            &mut sim,
+            |_| {},
+            |sim| {
+                let mut resident = 0usize;
+                for record in sim.drain_completions() {
+                    resident += 1;
+                    let response = record.response_time().as_nanos();
+                    obs.sketch.record(response);
+                    match record.class {
+                        ServiceClass::PRIMARY => obs.primary.record(response),
+                        _ => obs.overflow.record(response),
+                    }
+                    sink(record)?;
+                }
+                obs.completed += resident;
+                obs.peak_resident_records = obs.peak_resident_records.max(resident);
+                Ok(())
+            },
+        )?;
+        obs.chunks = fed.chunks;
+        obs.peak_chunk_bytes = fed.peak_chunk_bytes;
+        obs.offered = sim.offered();
+        obs.end_time = sim.end_time();
+        Ok(obs)
+    }
+
+    /// The untraced streaming engine for `policy`: the scheduler from
+    /// [`RecombinePolicy::parts`], passed through `wrap`, on fixed-rate
+    /// servers at the policy's rates.
+    pub(crate) fn simulation<S: Scheduler>(
+        &self,
+        policy: RecombinePolicy,
+        wrap: impl FnOnce(Box<dyn CapacityAdaptive>) -> S,
+    ) -> StreamingSimulation<S> {
+        let (scheduler, rates) =
+            policy.parts(self.provision, self.deadline, TraceHandle::disabled());
+        let mut sim = StreamingSimulation::new(wrap(scheduler));
+        for rate in rates {
+            sim = sim.server(FixedRateServer::new(rate));
         }
-        if let Some(trace) = trace {
-            sim = sim.trace(trace).deadline(self.deadline);
-        }
-        let mut buf = Vec::new();
-        let mut chunks = 0usize;
-        let mut peak_chunk_bytes = 0usize;
-        loop {
-            let n = stream.next_chunk(&mut buf)?;
-            if n == 0 {
-                break;
-            }
-            chunks += 1;
-            peak_chunk_bytes = peak_chunk_bytes.max(n * mem::size_of::<Request>());
-            for &request in buf.iter() {
-                sim.offer(request);
-            }
-        }
-        Ok(StreamReport {
-            report: sim.into_report(),
-            chunks,
-            peak_chunk_bytes,
-        })
+        sim
     }
 }
 
@@ -478,22 +467,31 @@ mod tests {
     }
 
     #[test]
-    fn traced_run_matches_untraced() {
-        let w = bursty();
+    fn second_longterm_run_of_a_tenant_is_a_typed_error() {
+        // After one run the store holds this tenant's history up to the
+        // run's last completion, so a second run from time zero must be
+        // rejected as typed out-of-order input, not panic, and must leave
+        // the store as the first run left it.
+        use gqos_sim::RetentionConfig;
         let (_, online) = shapers();
-        let (trace, sink) = TraceHandle::memory();
-        let traced = online
-            .run_traced(
-                &mut WorkloadStream::new(w.clone(), 9),
+        // Three seconds of arrivals span several 1 s tier-0 buckets.
+        let w = Workload::from_arrivals((0..600).map(|i| ms(i * 5)));
+        let mut store = LongTermStore::new(RetentionConfig::default_tiers());
+        let run = |store: &mut LongTermStore<String>| {
+            online.run_longterm(
+                &mut WorkloadStream::new(w.clone(), 64),
                 RecombinePolicy::Miser,
-                trace,
+                "tenant-a",
+                store,
             )
-            .unwrap();
-        let plain = online
-            .run(&mut WorkloadStream::new(w, 9), RecombinePolicy::Miser)
-            .unwrap();
-        assert_eq!(traced.report.records(), plain.report.records());
-        assert!(!sink.borrow().is_empty(), "no trace events captured");
+        };
+        run(&mut store).expect("a fresh store accepts the run");
+        let after_first = store.clone();
+        match run(&mut store) {
+            Err(StreamError::Retention(e)) => assert!(e.at < e.window_start, "{e}"),
+            other => panic!("expected a retention error, got {other:?}"),
+        }
+        assert_eq!(store, after_first, "a rejected run changes nothing");
     }
 
     #[test]

@@ -33,6 +33,7 @@ use std::error::Error;
 use std::fmt;
 use std::io::Read;
 
+use gqos_sim::OutOfOrderInstant;
 use gqos_trace::spc::{ParseSpcError, Records};
 use gqos_trace::{Request, RequestId, SimTime, Workload};
 
@@ -56,6 +57,9 @@ pub enum StreamError {
         /// The violating (earlier) arrival in the current chunk.
         next: SimTime,
     },
+    /// A retention store rejected a completion because it already holds
+    /// later history for the tenant (see `OnlineShaper::run_longterm`).
+    Retention(OutOfOrderInstant),
 }
 
 impl fmt::Display for StreamError {
@@ -67,6 +71,7 @@ impl fmt::Display for StreamError {
                 "arrival stream reordered beyond the chunk horizon: chunk {chunk} \
                  starts at {next}, before the previous chunk's last arrival {prev}"
             ),
+            StreamError::Retention(e) => write!(f, "retention store rejected a completion: {e}"),
         }
     }
 }
@@ -76,6 +81,7 @@ impl Error for StreamError {
         match self {
             StreamError::Parse(e) => Some(e),
             StreamError::OutOfOrder { .. } => None,
+            StreamError::Retention(e) => Some(e),
         }
     }
 }

@@ -1,14 +1,5 @@
-//! Deterministic delivery of control commands over a faulty channel.
-//!
-//! [`ControlDriver`] is a simulated-clock event loop: each scheduled
-//! command is attempted, retried per its [`RetryPolicy`], and both the
-//! request and the response independently suffer the channel's fate —
-//! drop, duplicate, or delay — drawn statelessly from the
-//! [`ChannelFaultSchedule`] seed. Duplicates exercise the plane's dedup
-//! log; drops exercise the retry path; delays reorder applications
-//! across commands. Everything is a pure function of
-//! `(commands, channel, policy)`, so a chaos interleaving replays
-//! bit-identically from its seeds.
+//! Deterministic delivery of control commands over a faulty channel:
+//! the retrying [`ControlDriver`] and its per-command outcomes.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -108,7 +99,17 @@ pub struct CommandOutcome {
     pub delivery: Delivery,
 }
 
-/// The retrying client + event loop. See the [module docs](self).
+/// The retrying client: a simulated-clock event loop that delivers
+/// control commands over a faulty channel.
+///
+/// Each scheduled command is attempted, retried per its [`RetryPolicy`],
+/// and both the request and the response independently suffer the
+/// channel's fate — drop, duplicate, or delay — drawn statelessly from the
+/// [`ChannelFaultSchedule`] seed. Duplicates exercise the plane's dedup
+/// log; drops exercise the retry path; delays reorder applications
+/// across commands. Everything is a pure function of
+/// `(commands, channel, policy)`, so a chaos interleaving replays
+/// bit-identically from its seeds.
 #[derive(Debug)]
 pub struct ControlDriver<'a, C: ControlChannel> {
     channel: &'a C,

@@ -1,24 +1,5 @@
 //! The control plane: the single authority that applies bus commands to
-//! the live fleet placement.
-//!
-//! State it owns: the tenant registry (each a [`FleetTenant`] with its
-//! fencing epoch), the per-tenant SLA records, the live [`Placement`],
-//! the long-lived [`QuoteCache`] the placement is costed from, and the
-//! command dedup log. Every mutation flows through [`ControlPlane::apply`]:
-//!
-//! 1. the protocol version is gated;
-//! 2. a previously decided command id replays its cached
-//!    [`ControlResponse`] verbatim (at-most-once application);
-//! 3. epoch-fenced bodies are checked against the tenant's current
-//!    epoch and rejected with [`ControlError::StaleEpoch`] on mismatch;
-//! 4. the mutation is applied through the `FleetPlacer`'s incremental
-//!    hooks, and the decision — ack or typed rejection — is cached.
-//!
-//! The correctness claim the chaos harness pins: after any command
-//! history, the standalone quotes served from the plane's long-lived
-//! cache are **bit-identical** to a from-scratch pack of the surviving
-//! tenant set with a fresh cache ([`ControlPlane::oracle_quotes`]), and
-//! every tenant's logged epoch sequence is strictly increasing.
+//! the live fleet placement ([`ControlPlane`]).
 
 use std::collections::BTreeMap;
 
@@ -47,7 +28,27 @@ pub struct PlaneStats {
     pub suppressed_refills: u64,
 }
 
-/// The fleet's single control authority. See the [module docs](self).
+/// The fleet's single control authority: it applies bus commands to the
+/// live fleet placement.
+///
+/// State it owns: the tenant registry (each a [`FleetTenant`] with its
+/// fencing epoch), the per-tenant SLA records, the live [`Placement`],
+/// the long-lived [`QuoteCache`] the placement is costed from, and the
+/// command dedup log. Every mutation flows through [`ControlPlane::apply`]:
+///
+/// 1. the protocol version is gated;
+/// 2. a previously decided command id replays its cached
+///    [`ControlResponse`] verbatim (at-most-once application);
+/// 3. epoch-fenced bodies are checked against the tenant's current
+///    epoch and rejected with [`ControlError::StaleEpoch`] on mismatch;
+/// 4. the mutation is applied through the `FleetPlacer`'s incremental
+///    hooks, and the decision — ack or typed rejection — is cached.
+///
+/// The correctness claim the chaos harness pins: after any command
+/// history, the standalone quotes served from the plane's long-lived
+/// cache are **bit-identical** to a from-scratch pack of the surviving
+/// tenant set with a fresh cache ([`ControlPlane::oracle_quotes`]), and
+/// every tenant's logged epoch sequence is strictly increasing.
 #[derive(Clone, Debug)]
 pub struct ControlPlane {
     placer: FleetPlacer,

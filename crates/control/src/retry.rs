@@ -87,31 +87,6 @@ impl RetryPolicy {
         self
     }
 
-    /// Replaces the per-command deadline: no attempt is scheduled past
-    /// `issue + deadline`, and an unresolved command expires there.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `deadline` is zero.
-    #[must_use]
-    pub fn with_deadline(mut self, deadline: SimDuration) -> Self {
-        assert!(!deadline.is_zero(), "command deadline must be positive");
-        self.deadline = deadline;
-        self
-    }
-
-    /// Replaces the attempt budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_attempts` is zero.
-    #[must_use]
-    pub fn with_attempts(mut self, max_attempts: u32) -> Self {
-        assert!(max_attempts > 0, "attempt budget must be positive");
-        self.max_attempts = max_attempts;
-        self
-    }
-
     /// The jitter seed.
     pub fn seed(&self) -> u64 {
         self.seed

@@ -71,9 +71,7 @@ mod tenant;
 
 pub use admission::{Admission, AdmissionController, AdmissionError};
 pub use cascade::{CascadeDecomposer, CascadeDecomposition, CascadeLevel};
-pub use consolidate::{
-    merge_all, ConsolidationError, ConsolidationReport, ConsolidationStudy, LazyConsolidation,
-};
+pub use consolidate::{merge_all, ConsolidationError, ConsolidationReport, ConsolidationStudy};
 pub use degrade::{
     AdaptiveScheduler, AdmissionLog, AdmissionRecord, CapacityAdaptive, DegradationController,
     DegradationPolicy,
@@ -84,7 +82,7 @@ pub use fleet::{
 };
 pub use kernel::{overflow_curve, within_miss_budget_curve};
 pub use miser::MiserScheduler;
-pub use offline::{rtt_period_bound, slotted_lower_bound, OptimalityCheck};
+pub use offline::{rtt_period_bound, slotted_lower_bound};
 pub use planner::{CapacityPlanner, MenuError, SeedCurve, SlaQuote};
 pub use rtt::{
     checked_max_queue, decompose, decompose_with_budget, optimal_drop_lower_bound, overflow_count,

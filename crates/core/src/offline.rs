@@ -10,11 +10,7 @@
 //! `RTT drops ≥ bound` always holds (it is a true lower bound for any
 //! scheduler); equality certifies optimality for the given input.
 
-use std::fmt;
-
 use gqos_trace::{Iops, SimDuration, SimTime, Workload};
-
-use crate::rtt::decompose;
 
 /// Lemma 1 on the slotted service model: the minimum number of requests
 /// any scheduler must fail at capacity `capacity` and deadline `deadline`,
@@ -132,60 +128,10 @@ pub fn rtt_period_bound(workload: &Workload, capacity: Iops, deadline: SimDurati
     total
 }
 
-/// The outcome of checking RTT against the offline bound.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub struct OptimalityCheck {
-    /// Requests RTT diverted to the overflow class.
-    pub rtt_dropped: u64,
-    /// Lemma 1's lower bound on drops for any scheduler.
-    pub lower_bound: u64,
-}
-
-impl OptimalityCheck {
-    /// Runs RTT and the oracle on `workload`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `deadline` is zero or `⌊C·δ⌋` is zero.
-    pub fn run(workload: &Workload, capacity: Iops, deadline: SimDuration) -> Self {
-        OptimalityCheck {
-            rtt_dropped: decompose(workload, capacity, deadline).overflow_count(),
-            lower_bound: slotted_lower_bound(workload, capacity, deadline),
-        }
-    }
-
-    /// `true` when RTT provably achieved the offline optimum on this input.
-    pub fn is_tight(&self) -> bool {
-        self.rtt_dropped == self.lower_bound
-    }
-
-    /// The gap `rtt_dropped − lower_bound` (zero when tight; the bound can
-    /// be loose when drops split a busy period the no-drop server keeps
-    /// whole).
-    pub fn gap(&self) -> u64 {
-        self.rtt_dropped - self.lower_bound
-    }
-}
-
-impl fmt::Display for OptimalityCheck {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "RTT dropped {} vs lower bound {} ({})",
-            self.rtt_dropped,
-            self.lower_bound,
-            if self.is_tight() {
-                "tight"
-            } else {
-                "loose bound"
-            }
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rtt::decompose;
 
     fn ms(v: u64) -> SimTime {
         SimTime::from_millis(v)
@@ -195,23 +141,26 @@ mod tests {
         SimDuration::from_millis(v)
     }
 
+    /// RTT's drop count and Lemma 1's bound on the same input.
+    fn dropped_and_bound(w: &Workload, capacity: Iops, deadline: SimDuration) -> (u64, u64) {
+        (
+            decompose(w, capacity, deadline).overflow_count(),
+            slotted_lower_bound(w, capacity, deadline),
+        )
+    }
+
     #[test]
     fn feasible_workload_has_zero_bound() {
         let w = Workload::from_arrivals((0..50).map(|i| ms(i * 20)));
-        let check = OptimalityCheck::run(&w, Iops::new(100.0), dms(20));
-        assert_eq!(check.lower_bound, 0);
-        assert_eq!(check.rtt_dropped, 0);
-        assert!(check.is_tight());
-        assert_eq!(check.gap(), 0);
+        assert_eq!(dropped_and_bound(&w, Iops::new(100.0), dms(20)), (0, 0));
     }
 
     #[test]
     fn single_burst_bound_is_exact() {
-        // 10 at once, room for 3 (300 IOPS x 10 ms): 7 must drop.
+        // 10 at once, room for 3 (300 IOPS x 10 ms): 7 must drop, and RTT
+        // drops exactly that.
         let w = Workload::from_arrivals(vec![SimTime::ZERO; 10]);
-        let check = OptimalityCheck::run(&w, Iops::new(300.0), dms(10));
-        assert_eq!(check.lower_bound, 7);
-        assert!(check.is_tight(), "{check}");
+        assert_eq!(dropped_and_bound(&w, Iops::new(300.0), dms(10)), (7, 7));
     }
 
     #[test]
@@ -220,9 +169,7 @@ mod tests {
         arrivals.extend(vec![SimTime::from_secs(10); 6]);
         let w = Workload::from_arrivals(arrivals);
         // 200 IOPS x 10 ms = 2 slots: drops 3 + 4.
-        let check = OptimalityCheck::run(&w, Iops::new(200.0), dms(10));
-        assert_eq!(check.lower_bound, 7);
-        assert!(check.is_tight());
+        assert_eq!(dropped_and_bound(&w, Iops::new(200.0), dms(10)), (7, 7));
     }
 
     #[test]
@@ -230,20 +177,17 @@ mod tests {
         // 200 offered vs 100 capacity for 2 s: about half must drop, and
         // RTT matches the bound exactly.
         let w = Workload::from_arrivals((0..400).map(|i| ms(i * 5)));
-        let check = OptimalityCheck::run(&w, Iops::new(100.0), dms(20));
-        assert!(check.lower_bound > 150);
-        assert!(check.is_tight(), "{check}");
+        let (dropped, bound) = dropped_and_bound(&w, Iops::new(100.0), dms(20));
+        assert!(bound > 150);
+        assert_eq!(dropped, bound);
     }
 
     #[test]
     fn no_drop_bound_holds_on_profile_scale_input() {
         use gqos_trace::gen::profiles::TraceProfile;
         let w = TraceProfile::FinTrans.generate(SimDuration::from_secs(60), 3);
-        let check = OptimalityCheck::run(&w, Iops::new(150.0), dms(10));
-        assert!(
-            check.rtt_dropped >= check.lower_bound,
-            "bound violated: {check}"
-        );
+        let (dropped, bound) = dropped_and_bound(&w, Iops::new(150.0), dms(10));
+        assert!(dropped >= bound, "bound violated: {dropped} < {bound}");
     }
 
     #[test]
@@ -284,13 +228,6 @@ mod tests {
             let bound = rtt_period_bound(&w, c, dms(20));
             assert_eq!(dropped, bound, "pattern of {} arrivals", w.len());
         }
-    }
-
-    #[test]
-    fn display_reports_tightness() {
-        let w = Workload::from_arrivals(vec![SimTime::ZERO; 4]);
-        let check = OptimalityCheck::run(&w, Iops::new(200.0), dms(10));
-        assert!(check.to_string().contains("tight"));
     }
 
     #[test]

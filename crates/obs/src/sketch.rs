@@ -313,9 +313,9 @@ impl LatencySketch {
     /// Returns the containing bucket's upper bound, clamped to the exact
     /// tracked maximum, so the result `q̂` versus the exact quantile `q`
     /// satisfies `q ≤ q̂ ≤ q · (1 + RELATIVE_ERROR_BOUND)`. The extremes are
-    /// *exact*, not bucket bounds: `quantile(0.0)` equals [`min`]
-    /// (`LatencySketch::min`) and `quantile(1.0)` equals [`max`]
-    /// (`LatencySketch::max`), bit for bit. Returns 0 for an empty sketch —
+    /// *exact*, not bucket bounds: `quantile(0.0)` equals
+    /// [`min`](LatencySketch::min) and `quantile(1.0)` equals
+    /// [`max`](LatencySketch::max), bit for bit. Returns 0 for an empty sketch —
     /// the same value empty [`min`](LatencySketch::min) and
     /// [`max`](LatencySketch::max) report.
     ///

@@ -8,13 +8,42 @@
 //! back into the arrival rate — which is exactly the behaviour open-loop
 //! QoS analysis must not assume it has (the paper's arrival streams are
 //! open; this driver exists to study the difference).
+//!
+//! The driver runs on the same event step as [`StreamingSimulation`]: it
+//! only decides, between steps, whether the earliest thinking client
+//! issues next.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::error::Error;
+use std::fmt;
 
 use gqos_trace::{Request, RequestId, SimDuration, SimTime};
 
-use crate::event::{Event, EventKind, EventQueue};
-use crate::metrics::{CompletionRecord, RunReport};
-use crate::scheduler::{Dispatch, Scheduler, ServiceClass};
-use crate::server::{ServerId, ServiceModel};
+use crate::metrics::RunReport;
+use crate::scheduler::Scheduler;
+use crate::server::ServiceModel;
+use crate::streaming::StreamingSimulation;
+
+/// Why a [`ClosedLoopConfig`] was rejected.
+#[derive(Copy, Clone, Eq, PartialEq, Debug)]
+pub enum ClosedLoopError {
+    /// The population is empty.
+    ZeroClients,
+    /// The issue horizon is zero, so no client could ever issue.
+    ZeroDuration,
+}
+
+impl fmt::Display for ClosedLoopError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ClosedLoopError::ZeroClients => f.write_str("at least one client is required"),
+            ClosedLoopError::ZeroDuration => f.write_str("duration must be positive"),
+        }
+    }
+}
+
+impl Error for ClosedLoopError {}
 
 /// Configuration of a closed-loop run.
 #[derive(Copy, Clone, PartialEq, Debug)]
@@ -30,17 +59,26 @@ pub struct ClosedLoopConfig {
 impl ClosedLoopConfig {
     /// Creates a configuration.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `clients` is zero or `duration` is zero.
-    pub fn new(clients: usize, think_time: SimDuration, duration: SimDuration) -> Self {
-        assert!(clients > 0, "at least one client is required");
-        assert!(!duration.is_zero(), "duration must be positive");
-        ClosedLoopConfig {
+    /// [`ClosedLoopError::ZeroClients`] if `clients` is zero,
+    /// [`ClosedLoopError::ZeroDuration`] if `duration` is zero.
+    pub fn new(
+        clients: usize,
+        think_time: SimDuration,
+        duration: SimDuration,
+    ) -> Result<Self, ClosedLoopError> {
+        if clients == 0 {
+            return Err(ClosedLoopError::ZeroClients);
+        }
+        if duration.is_zero() {
+            return Err(ClosedLoopError::ZeroDuration);
+        }
+        Ok(ClosedLoopConfig {
             clients,
             think_time,
             duration,
-        }
+        })
     }
 }
 
@@ -70,7 +108,7 @@ impl ClosedLoopConfig {
 ///     4,
 ///     SimDuration::from_millis(90),
 ///     SimDuration::from_secs(10),
-/// );
+/// )?;
 /// let report = closed_loop(
 ///     config,
 ///     FcfsScheduler::new(),
@@ -79,10 +117,11 @@ impl ClosedLoopConfig {
 /// );
 /// let rate = report.completed() as f64 / 10.0;
 /// assert!((rate - 40.0).abs() < 5.0, "rate {rate}");
+/// # Ok::<(), gqos_sim::ClosedLoopError>(())
 /// ```
 pub fn closed_loop<S, M, F>(
     config: ClosedLoopConfig,
-    mut scheduler: S,
+    scheduler: S,
     model: M,
     mut factory: F,
 ) -> RunReport
@@ -91,129 +130,50 @@ where
     M: ServiceModel + 'static,
     F: FnMut(usize, SimTime) -> Request,
 {
-    let mut servers: Vec<Box<dyn ServiceModel>> = vec![Box::new(model)];
-    let mut queue = EventQueue::new();
-    let mut in_flight: Vec<Option<(Request, ServiceClass, SimTime)>> = vec![None];
-    let mut records: Vec<CompletionRecord> = Vec::new();
+    let mut sim = StreamingSimulation::new(scheduler).server(model);
+    let horizon = SimTime::ZERO + config.duration;
+    // Clients waiting to issue, earliest `(issue time, client)` first.
+    let mut thinking: BinaryHeap<Reverse<(SimTime, usize)>> = (0..config.clients)
+        .map(|client| Reverse((SimTime::ZERO, client)))
+        .collect();
     // Which client issued each request, indexed by request id.
     let mut owners: Vec<usize> = Vec::new();
-    let mut issued = 0u64;
+    let mut records = Vec::new();
     let mut end_time = SimTime::ZERO;
-    let horizon = SimTime::ZERO + config.duration;
-
-    for client in 0..config.clients {
-        queue.push(Event {
-            at: SimTime::ZERO,
-            kind: EventKind::Arrival { index: client },
-        });
-    }
 
     // Horizon convention (pinned by `horizon_accounting_*` tests): clients
-    // issue strictly before `horizon` — an arrival at exactly `horizon`
-    // retires — and `end_time` is the instant of the **last completion**.
-    // Retiring arrivals (scheduled think-time after the final completion)
-    // and stale retries are bookkeeping events, not work: letting them
-    // stretch `end_time` would divide horizon-bounded completions by a
-    // span no request ever occupied, deflating every derived throughput.
-    while let Some(Event { at: now, kind }) = queue.pop() {
-        match kind {
-            EventKind::Arrival { index: client } => {
-                if now >= horizon {
-                    continue; // this client retires
-                }
-                let request = factory(client, now)
-                    .with_id(RequestId::new(issued))
-                    .with_arrival(now);
-                owners.push(client);
-                issued += 1;
-                scheduler.on_arrival(request, now);
-                for server in 0..servers.len() {
-                    if in_flight[server].is_none() {
-                        poll(
-                            &mut scheduler,
-                            &mut servers,
-                            &mut in_flight,
-                            &mut queue,
-                            server,
-                            now,
-                        );
-                    }
-                }
-            }
-            EventKind::Completion { server } => {
-                end_time = end_time.max(now);
-                let (request, class, dispatched) = in_flight[server]
-                    .take()
-                    .expect("completion event for idle server");
-                records.push(CompletionRecord {
-                    id: request.id,
-                    class,
-                    arrival: request.arrival,
-                    dispatched,
-                    completion: now,
-                });
-                scheduler.on_completion(&request, class, now);
-                // The owning client thinks, then issues again.
-                let client = owners[request.id.as_usize()];
-                queue.push(Event {
-                    at: now + config.think_time,
-                    kind: EventKind::Arrival { index: client },
-                });
-                poll(
-                    &mut scheduler,
-                    &mut servers,
-                    &mut in_flight,
-                    &mut queue,
-                    server,
-                    now,
-                );
-            }
-            EventKind::Retry { server } => {
-                if in_flight[server].is_none() {
-                    poll(
-                        &mut scheduler,
-                        &mut servers,
-                        &mut in_flight,
-                        &mut queue,
-                        server,
-                        now,
-                    );
-                }
-            }
+    // issue strictly before `horizon` — an issue at or past `horizon`
+    // retires the client — and `end_time` is the instant of the **last
+    // completion**, not of a retry or of the engine's last event.
+    loop {
+        let next_event = sim.next_event_time();
+        // The earliest issue goes first only when strictly earlier than the
+        // next engine event: at equal times completions and retries precede
+        // arrivals, and lower client indices precede higher ones.
+        let issue = thinking
+            .peek()
+            .map(|&Reverse(issue)| issue)
+            .filter(|&(at, _)| at < horizon && next_event.is_none_or(|next| at < next));
+        if let Some((at, client)) = issue {
+            thinking.pop();
+            let request = factory(client, at)
+                .with_id(RequestId::new(owners.len() as u64))
+                .with_arrival(at);
+            owners.push(client);
+            sim.offer(request);
+        } else if !sim.step() {
+            break;
+        }
+        for record in sim.drain_completions() {
+            end_time = record.completion;
+            // The owning client thinks, then issues again.
+            let client = owners[record.id.as_usize()];
+            thinking.push(Reverse((record.completion + config.think_time, client)));
+            records.push(record);
         }
     }
 
-    RunReport::new(records, issued as usize, end_time)
-}
-
-fn poll<S: Scheduler>(
-    scheduler: &mut S,
-    servers: &mut [Box<dyn ServiceModel>],
-    in_flight: &mut [Option<(Request, ServiceClass, SimTime)>],
-    queue: &mut EventQueue,
-    server: usize,
-    now: SimTime,
-) {
-    match scheduler.next_for(ServerId::new(server), now) {
-        Dispatch::Serve(request, class) => {
-            let service = servers[server]
-                .service_time(&request, now)
-                .max(SimDuration::from_nanos(1));
-            in_flight[server] = Some((request, class, now));
-            queue.push(Event {
-                at: now + service,
-                kind: EventKind::Completion { server },
-            });
-        }
-        Dispatch::After(when) => {
-            assert!(when > now, "retry at {when} is not after {now}");
-            queue.push(Event {
-                at: when,
-                kind: EventKind::Retry { server },
-            });
-        }
-        Dispatch::Idle => {}
-    }
+    RunReport::new(records, owners.len(), end_time)
 }
 
 #[cfg(test)]
@@ -227,11 +187,15 @@ mod tests {
         SimDuration::from_millis(v)
     }
 
+    fn config(clients: usize, think_time: SimDuration, duration: SimDuration) -> ClosedLoopConfig {
+        ClosedLoopConfig::new(clients, think_time, duration).expect("valid closed-loop config")
+    }
+
     #[test]
     fn single_client_alternates_service_and_think() {
         // Service 10 ms + think 40 ms = 50 ms per cycle over 1 s -> 20 ops.
         let report = closed_loop(
-            ClosedLoopConfig::new(1, dms(40), SimDuration::from_secs(1)),
+            config(1, dms(40), SimDuration::from_secs(1)),
             FcfsScheduler::new(),
             FixedRateServer::new(Iops::new(100.0)),
             |_, t| Request::at(t),
@@ -247,13 +211,13 @@ mod tests {
         // Service 10 ms, zero think, one server: the device saturates at
         // 100 IOPS no matter how many clients queue.
         let few = closed_loop(
-            ClosedLoopConfig::new(1, SimDuration::ZERO, SimDuration::from_secs(2)),
+            config(1, SimDuration::ZERO, SimDuration::from_secs(2)),
             FcfsScheduler::new(),
             FixedRateServer::new(Iops::new(100.0)),
             |_, t| Request::at(t),
         );
         let many = closed_loop(
-            ClosedLoopConfig::new(16, SimDuration::ZERO, SimDuration::from_secs(2)),
+            config(16, SimDuration::ZERO, SimDuration::from_secs(2)),
             FcfsScheduler::new(),
             FixedRateServer::new(Iops::new(100.0)),
             |_, t| Request::at(t),
@@ -274,7 +238,7 @@ mod tests {
         // server — throughput caps at capacity and the backlog stays at the
         // population size.
         let report = closed_loop(
-            ClosedLoopConfig::new(8, SimDuration::ZERO, SimDuration::from_secs(1)),
+            config(8, SimDuration::ZERO, SimDuration::from_secs(1)),
             FcfsScheduler::new(),
             FixedRateServer::new(Iops::new(50.0)),
             |_, t| Request::at(t),
@@ -287,7 +251,7 @@ mod tests {
     #[test]
     fn issues_stop_at_the_horizon_but_outstanding_work_completes() {
         let report = closed_loop(
-            ClosedLoopConfig::new(4, dms(5), SimDuration::from_millis(100)),
+            config(4, dms(5), SimDuration::from_millis(100)),
             FcfsScheduler::new(),
             FixedRateServer::new(Iops::new(50.0)), // 20 ms service
             |_, t| Request::at(t),
@@ -310,7 +274,7 @@ mod tests {
         // arrival at 10.01 s retires. The measured span is 10 ms — the
         // pre-fix code reported ~10.01 s, deflating throughput 1000x.
         let report = closed_loop(
-            ClosedLoopConfig::new(1, SimDuration::from_secs(10), dms(50)),
+            config(1, SimDuration::from_secs(10), dms(50)),
             FcfsScheduler::new(),
             FixedRateServer::new(Iops::new(100.0)),
             |_, t| Request::at(t),
@@ -326,7 +290,7 @@ mod tests {
         // arrival at exactly t=100 ms — it retires, and the span ends at
         // the second completion (t=60 ms).
         let report = closed_loop(
-            ClosedLoopConfig::new(1, dms(40), dms(100)),
+            config(1, dms(40), dms(100)),
             FcfsScheduler::new(),
             FixedRateServer::new(Iops::new(100.0)),
             |_, t| Request::at(t),
@@ -341,7 +305,7 @@ mod tests {
     #[test]
     fn factory_controls_request_contents() {
         let report = closed_loop(
-            ClosedLoopConfig::new(2, dms(10), SimDuration::from_millis(200)),
+            config(2, dms(10), SimDuration::from_millis(200)),
             FcfsScheduler::new(),
             FixedRateServer::new(Iops::new(1000.0)),
             |client, t| Request::at(t).with_block(gqos_trace::LogicalBlock::new(client as u64)),
@@ -353,7 +317,7 @@ mod tests {
     fn deterministic() {
         let run = || {
             closed_loop(
-                ClosedLoopConfig::new(3, dms(7), SimDuration::from_secs(1)),
+                config(3, dms(7), SimDuration::from_secs(1)),
                 FcfsScheduler::new(),
                 FixedRateServer::new(Iops::new(333.0)),
                 |_, t| Request::at(t),
@@ -363,14 +327,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one client")]
     fn zero_clients_rejected() {
-        let _ = ClosedLoopConfig::new(0, SimDuration::ZERO, SimDuration::from_secs(1));
+        let err = ClosedLoopConfig::new(0, SimDuration::ZERO, SimDuration::from_secs(1));
+        assert_eq!(err, Err(ClosedLoopError::ZeroClients));
+        assert_eq!(
+            err.unwrap_err().to_string(),
+            "at least one client is required"
+        );
     }
 
     #[test]
-    #[should_panic(expected = "duration must be positive")]
     fn zero_duration_rejected() {
-        let _ = ClosedLoopConfig::new(1, SimDuration::ZERO, SimDuration::ZERO);
+        let err = ClosedLoopConfig::new(1, SimDuration::ZERO, SimDuration::ZERO);
+        assert_eq!(err, Err(ClosedLoopError::ZeroDuration));
+        assert_eq!(err.unwrap_err().to_string(), "duration must be positive");
     }
 }

@@ -358,6 +358,12 @@ impl IndexedEventQueue {
         Some(event)
     }
 
+    /// The timestamp of the earliest event without removing it — the `at`
+    /// the next [`pop`](IndexedEventQueue::pop) returns.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.wheel.peek_time()
+    }
+
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.wheel.len()

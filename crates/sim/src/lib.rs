@@ -46,7 +46,7 @@ mod scheduler;
 mod server;
 mod streaming;
 
-pub use closed::{closed_loop, ClosedLoopConfig};
+pub use closed::{closed_loop, ClosedLoopConfig, ClosedLoopError};
 pub use engine::{simulate, Simulation};
 pub use event::{Event, EventKind, EventQueue, IndexedEventQueue};
 pub use metrics::{CompletionRecord, ResponseStats, RunReport};

@@ -256,98 +256,89 @@ impl<S: Scheduler> StreamingSimulation<S> {
                     None => return,
                 }
             }
-            let Some(Event { at: now, kind }) = self.queue.pop() else {
+            if !self.step() {
                 return;
-            };
-            self.end_time = self.end_time.max(now);
-            match kind {
-                EventKind::Arrival { .. } => {
-                    let request = self
-                        .queued_arrival
-                        .take()
-                        .expect("arrival event without a queued request");
-                    self.trace.emit_with(|| TraceEvent::Arrival {
-                        at: now,
-                        id: request.id.index(),
-                    });
-                    self.scheduler.on_arrival(request, now);
-                    for server in 0..self.servers.len() {
-                        if self.in_flight[server].is_none() {
-                            Self::poll_server(
-                                &mut self.scheduler,
-                                &mut self.servers,
-                                &mut self.in_flight,
-                                &mut self.queue,
-                                server,
-                                now,
-                            );
-                        }
-                    }
-                }
-                EventKind::Completion { server } => {
-                    let (request, class, dispatched) = self.in_flight[server]
-                        .take()
-                        .expect("completion event for idle server");
-                    self.completions.push(CompletionRecord {
-                        id: request.id,
-                        class,
-                        arrival: request.arrival,
-                        dispatched,
-                        completion: now,
-                    });
-                    self.trace.emit_with(|| {
-                        let response = now - request.arrival;
-                        TraceEvent::Completed {
-                            at: now,
-                            id: request.id.index(),
-                            class: class.index(),
-                            response,
-                            deadline_met: self.deadline.map(|d| response <= d),
-                        }
-                    });
-                    self.scheduler.on_completion(&request, class, now);
-                    Self::poll_server(
-                        &mut self.scheduler,
-                        &mut self.servers,
-                        &mut self.in_flight,
-                        &mut self.queue,
-                        server,
-                        now,
-                    );
-                }
-                EventKind::Retry { server } => {
-                    if self.in_flight[server].is_none() {
-                        Self::poll_server(
-                            &mut self.scheduler,
-                            &mut self.servers,
-                            &mut self.in_flight,
-                            &mut self.queue,
-                            server,
-                            now,
-                        );
-                    }
-                }
             }
         }
     }
 
-    fn poll_server(
-        scheduler: &mut S,
-        servers: &mut [Box<dyn ServiceModel>],
-        in_flight: &mut [Option<(Request, ServiceClass, SimTime)>],
-        queue: &mut IndexedEventQueue,
-        server: usize,
-        now: SimTime,
-    ) {
-        debug_assert!(in_flight[server].is_none());
-        match scheduler.next_for(ServerId::new(server), now) {
+    /// The timestamp of the earliest queued event, if any.
+    pub(crate) fn next_event_time(&self) -> Option<SimTime> {
+        self.queue.peek_time()
+    }
+
+    /// Pops and handles the earliest queued event; returns `false` if the
+    /// queue is empty. The caller decides when popping is safe: `pump` steps
+    /// only while the next arrival is queued (or the stream is finished),
+    /// and the closed-loop driver steps only when no thinking client issues
+    /// earlier.
+    #[inline]
+    pub(crate) fn step(&mut self) -> bool {
+        let Some(Event { at: now, kind }) = self.queue.pop() else {
+            return false;
+        };
+        self.end_time = self.end_time.max(now);
+        match kind {
+            EventKind::Arrival { .. } => {
+                let request = self
+                    .queued_arrival
+                    .take()
+                    .expect("arrival event without a queued request");
+                self.trace.emit_with(|| TraceEvent::Arrival {
+                    at: now,
+                    id: request.id.index(),
+                });
+                self.scheduler.on_arrival(request, now);
+                for server in 0..self.servers.len() {
+                    if self.in_flight[server].is_none() {
+                        self.poll_server(server, now);
+                    }
+                }
+            }
+            EventKind::Completion { server } => {
+                let (request, class, dispatched) = self.in_flight[server]
+                    .take()
+                    .expect("completion event for idle server");
+                self.completions.push(CompletionRecord {
+                    id: request.id,
+                    class,
+                    arrival: request.arrival,
+                    dispatched,
+                    completion: now,
+                });
+                self.trace.emit_with(|| {
+                    let response = now - request.arrival;
+                    TraceEvent::Completed {
+                        at: now,
+                        id: request.id.index(),
+                        class: class.index(),
+                        response,
+                        deadline_met: self.deadline.map(|d| response <= d),
+                    }
+                });
+                self.scheduler.on_completion(&request, class, now);
+                self.poll_server(server, now);
+            }
+            EventKind::Retry { server } => {
+                if self.in_flight[server].is_none() {
+                    self.poll_server(server, now);
+                }
+            }
+        }
+        true
+    }
+
+    /// Asks the scheduler what idle `server` should do at `now`.
+    fn poll_server(&mut self, server: usize, now: SimTime) {
+        debug_assert!(self.in_flight[server].is_none());
+        match self.scheduler.next_for(ServerId::new(server), now) {
             Dispatch::Serve(request, class) => {
-                let service = servers[server].service_time(&request, now);
+                let service = self.servers[server].service_time(&request, now);
                 // Zero-length service still advances the clock by one tick
                 // so progress is guaranteed.
                 let service = service.max(SimDuration::from_nanos(1));
-                in_flight[server] = Some((request, class, now));
-                queue.push(Event {
+                self.in_flight[server] = Some((request, class, now));
+                self.queue.push(Event {
                     at: now + service,
                     kind: EventKind::Completion { server },
                 });
@@ -357,7 +348,7 @@ impl<S: Scheduler> StreamingSimulation<S> {
                     when > now,
                     "scheduler requested retry at {when} which is not after {now}"
                 );
-                queue.push(Event {
+                self.queue.push(Event {
                     at: when,
                     kind: EventKind::Retry { server },
                 });

@@ -141,7 +141,8 @@ fn wheel_matches_heap_on_heavy_ties() {
 
 /// The engine facade on top of the wheel, driven with engine-feasible
 /// schedules (unique arrival, unique completion per server) at fleet
-/// scale, interleaving pushes and pops as the simulation loop does.
+/// scale, interleaving pushes and pops as the simulation loop does. Before
+/// every pop, `peek_time` must name the `at` that pop returns.
 #[test]
 fn indexed_queue_matches_heap_at_fleet_scale() {
     let mut rng = Rng(0x51ab_0004);
@@ -154,8 +155,10 @@ fn indexed_queue_matches_heap_at_fleet_scale() {
             let mut last_popped = SimTime::ZERO;
             for _ in 0..80 {
                 if rng.below(3) == 0 {
+                    let peeked = indexed.peek_time();
                     let (a, b) = (oracle.pop(), indexed.pop());
                     assert_eq!(a, b, "indexed diverged ({servers} servers, round {round})");
+                    assert_eq!(peeked, b.map(|e| e.at), "peek_time is not the next pop");
                     if let Some(e) = a {
                         last_popped = last_popped.max(e.at);
                         match e.kind {
@@ -194,8 +197,10 @@ fn indexed_queue_matches_heap_at_fleet_scale() {
                 oracle.push(event);
             }
             loop {
+                let peeked = indexed.peek_time();
                 let (a, b) = (oracle.pop(), indexed.pop());
                 assert_eq!(a, b, "drain diverged ({servers} servers, round {round})");
+                assert_eq!(peeked, b.map(|e| e.at), "peek_time is not the next pop");
                 if a.is_none() {
                     break;
                 }

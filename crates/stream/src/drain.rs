@@ -1,29 +1,5 @@
-//! Zero-drop tenant drain-and-migrate through the ingest gateway.
-//!
-//! A live reconfiguration — SLA renegotiation onto a different server bin,
-//! or evacuating a node the placer marked down — must move a tenant's lane
-//! without dropping a single request. [`drain_migrate`] implements the
-//! three-phase handoff the control plane's `DrainTenant` command rides on:
-//!
-//! 1. **Before the window** (`t < plan.start()`): arrivals are admitted on
-//!    the old bin exactly as a normal lane run — same decisions, same
-//!    nanoseconds.
-//! 2. **Inside the window** (`plan.start() <= t < plan.end()`): the old
-//!    lane's [`ShedScheduler`] is put into drain mode
-//!    ([`ShedScheduler::with_drain_from`]): every new arrival is shed to
-//!    the best-effort overflow FIFO — counted, traced as
-//!    [`TraceEvent::Diverted`], and served at `OVERFLOW` class on the old
-//!    bin once the policy's backlog empties. Already-admitted requests run
-//!    to completion undisturbed.
-//! 3. **After the window** (`t >= plan.end()`): arrivals are re-admitted
-//!    on the target bin, each traced as [`TraceEvent::Migrated`].
-//!
-//! The handoff is bracketed by [`TraceEvent::DrainStarted`] and
-//! [`TraceEvent::DrainCompleted`] so a replayed trace (`gqos-obs`'s
-//! `DrainRecord` reconstruction) can
-//! audit the shed and migrated counts independently. The invariant the
-//! chaos harness pins: **offered == completed on both lanes** — shedding
-//! demotes, migration redirects, nothing is ever dropped.
+//! Zero-drop tenant drain-and-migrate through the ingest gateway
+//! ([`drain_migrate`]).
 
 use gqos_sim::{TraceEvent, TraceHandle};
 use gqos_trace::{SimDuration, SimTime, Workload};
@@ -125,12 +101,35 @@ impl DrainReport {
 }
 
 /// Drains `spec`'s lane off `from_server` and migrates it to `to_server`
-/// over the handoff window `plan`, with the zero-drop guarantee described
-/// in the [module docs](self).
+/// over the handoff window `plan`, without dropping a request.
+///
+/// A live reconfiguration — SLA renegotiation onto a different server bin,
+/// or evacuating a node the placer marked down — must move a tenant's lane
+/// without dropping a single request. This function implements the
+/// three-phase handoff the control plane's `DrainTenant` command rides on:
+///
+/// 1. **Before the window** (`t < plan.start()`): arrivals are admitted on
+///    the old bin exactly as a normal lane run — same decisions, same
+///    nanoseconds.
+/// 2. **Inside the window** (`plan.start() <= t < plan.end()`): the old
+///    lane's [`ShedScheduler`](crate::ShedScheduler) is put into drain mode
+///    ([`ShedScheduler::with_drain_from`](crate::ShedScheduler::with_drain_from)):
+///    every new arrival is shed to the best-effort overflow FIFO —
+///    counted, traced as [`TraceEvent::Diverted`], and served at
+///    `OVERFLOW` class on the old bin once the policy's backlog empties. Already-admitted requests run
+///    to completion undisturbed.
+/// 3. **After the window** (`t >= plan.end()`): arrivals are re-admitted
+///    on the target bin, each traced as [`TraceEvent::Migrated`].
+///
+/// The invariant the chaos harness pins: **offered == completed on both
+/// lanes** — shedding demotes, migration redirects, nothing is ever
+/// dropped.
 ///
 /// Emits [`TraceEvent::DrainStarted`] / [`TraceEvent::DrainCompleted`]
 /// brackets, a [`TraceEvent::Diverted`] per window shed, and a
-/// [`TraceEvent::Migrated`] per re-admitted arrival into `trace`. Request
+/// [`TraceEvent::Migrated`] per re-admitted arrival into `trace`, so a
+/// replayed trace (`gqos-obs`'s `DrainRecord` reconstruction) can audit
+/// the shed and migrated counts independently. Request
 /// ids in those events are *lane-local* (each lane re-identifies its
 /// window of the workload from 0), matching every other per-lane trace in
 /// the gateway.

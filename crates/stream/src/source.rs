@@ -2,32 +2,16 @@
 //!
 //! An [`ArrivalStream`] yields the arrival process in fixed-capacity sorted
 //! chunks instead of one materialised `Workload` vector, so ingestion
-//! memory is bounded by the chunk size regardless of trace length. Three
+//! memory is bounded by the chunk size regardless of trace length. Two
 //! adapters cover the repo's sources:
 //!
 //! - [`WorkloadStream`] — an in-memory [`Workload`] re-served in chunks
 //!   (the golden reference: ids and order are exactly the workload's);
 //! - [`SpcStream`] — an incremental SPC file reader built on
 //!   [`gqos_trace::spc::Records`], never holding more than one chunk of
-//!   parsed records;
-//! - [`SyntheticStream`] — any arrival-time iterator (e.g. a generator's
-//!   output fed lazily).
+//!   parsed records.
 //!
-//! # Chunk contract
-//!
-//! Every adapter upholds, and every consumer may assume:
-//!
-//! 1. chunks are sorted by arrival time (stable within equal timestamps);
-//! 2. the first arrival of chunk `k+1` is `>=` the last arrival of chunk
-//!    `k` (violations surface as [`StreamError::OutOfOrder`] — the
-//!    bounded-reorder contract: reordering beyond one chunk cannot be
-//!    repaired in bounded memory);
-//! 3. request ids are dense and sequential across the whole stream, in
-//!    exactly the order the requests are yielded — the same ids
-//!    [`Workload::from_requests`] would have assigned to the full trace.
-//!
-//! Together these make a chunked run reproduce the offline run's
-//! per-request identity bit-for-bit.
+//! [`ArrivalStream`] states the chunk contract both adapters uphold.
 
 use std::error::Error;
 use std::fmt;
@@ -94,8 +78,21 @@ impl From<ParseSpcError> for StreamError {
 
 /// A source of arrivals in fixed-capacity sorted chunks.
 ///
-/// See the [module docs](self) for the chunk contract every implementation
-/// must uphold.
+/// # Chunk contract
+///
+/// Every implementation upholds, and every consumer may assume:
+///
+/// 1. chunks are sorted by arrival time (stable within equal timestamps);
+/// 2. the first arrival of chunk `k+1` is `>=` the last arrival of chunk
+///    `k` (violations surface as [`StreamError::OutOfOrder`] — the
+///    bounded-reorder contract: reordering beyond one chunk cannot be
+///    repaired in bounded memory);
+/// 3. request ids are dense and sequential across the whole stream, in
+///    exactly the order the requests are yielded — the same ids
+///    [`Workload::from_requests`] would have assigned to the full trace.
+///
+/// Together these make a chunked run reproduce the offline run's
+/// per-request identity bit-for-bit.
 pub trait ArrivalStream {
     /// The configured maximum chunk length.
     fn chunk_capacity(&self) -> usize;
@@ -291,72 +288,6 @@ impl<R: Read> ArrivalStream for SpcStream<R> {
     }
 }
 
-/// An arrival-time iterator (e.g. a synthetic generator's output) served
-/// in sorted chunks with dense sequential ids.
-///
-/// # Examples
-///
-/// ```
-/// use gqos_stream::{ArrivalStream, SyntheticStream};
-/// use gqos_trace::SimTime;
-///
-/// let mut stream =
-///     SyntheticStream::new((0..100u64).map(SimTime::from_millis), 32);
-/// let mut buf = Vec::new();
-/// assert_eq!(stream.next_chunk(&mut buf).unwrap(), 32);
-/// assert_eq!(buf[0].id.index(), 0);
-/// ```
-#[derive(Debug)]
-pub struct SyntheticStream<I> {
-    arrivals: I,
-    chunk: usize,
-    chunks_read: usize,
-    next_id: u64,
-    last_arrival: Option<SimTime>,
-}
-
-impl<I: Iterator<Item = SimTime>> SyntheticStream<I> {
-    /// Creates a stream over `arrivals` yielding chunks of at most `chunk`
-    /// requests. Arrivals may be unordered within a chunk (they are
-    /// sorted), but not across chunks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk` is zero.
-    pub fn new(arrivals: I, chunk: usize) -> Self {
-        assert!(chunk > 0, "chunk capacity must be positive");
-        SyntheticStream {
-            arrivals,
-            chunk,
-            chunks_read: 0,
-            next_id: 0,
-            last_arrival: None,
-        }
-    }
-}
-
-impl<I: Iterator<Item = SimTime>> ArrivalStream for SyntheticStream<I> {
-    fn chunk_capacity(&self) -> usize {
-        self.chunk
-    }
-
-    fn next_chunk(&mut self, buf: &mut Vec<Request>) -> Result<usize, StreamError> {
-        buf.clear();
-        buf.extend(self.arrivals.by_ref().take(self.chunk).map(Request::at));
-        if buf.is_empty() {
-            return Ok(0);
-        }
-        seal_chunk(
-            buf,
-            &mut self.next_id,
-            &mut self.last_arrival,
-            self.chunks_read,
-        )?;
-        self.chunks_read += 1;
-        Ok(buf.len())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -430,24 +361,6 @@ mod tests {
         let err = s.next_chunk(&mut Vec::new()).unwrap_err();
         assert!(matches!(err, StreamError::Parse(_)));
         assert!(err.source().is_some());
-    }
-
-    #[test]
-    fn synthetic_stream_assigns_dense_ids() {
-        let all = drain(SyntheticStream::new((0..10u64).map(ms), 3));
-        for (i, r) in all.iter().enumerate() {
-            assert_eq!(r.id.index(), i as u64);
-        }
-        assert_eq!(all.len(), 10);
-    }
-
-    #[test]
-    fn synthetic_stream_rejects_cross_chunk_disorder() {
-        let times = [ms(5), ms(6), ms(1)];
-        let mut s = SyntheticStream::new(times.into_iter(), 2);
-        let mut buf = Vec::new();
-        assert_eq!(s.next_chunk(&mut buf).unwrap(), 2);
-        assert!(s.next_chunk(&mut buf).is_err());
     }
 
     #[test]

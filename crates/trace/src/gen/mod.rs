@@ -9,18 +9,14 @@
 //!
 //! All generators are deterministic given their seed.
 
-mod bmodel;
 mod mmpp;
 mod onoff;
 mod paced;
-mod poisson;
 pub mod profiles;
 
-pub use bmodel::BModelGen;
-pub use mmpp::{MmppGen, MmppState};
+pub use mmpp::MmppState;
 pub use onoff::OnOffGen;
 pub use paced::PacedGen;
-pub use poisson::PoissonGen;
 
 use rand::Rng;
 
@@ -127,7 +123,7 @@ pub fn batch_arrivals(
 }
 
 /// Emits Poisson arrivals at `rate` ops/sec into `out` for the interval
-/// `[start, end)`. Shared by the modulated generators.
+/// `[start, end)`. Used by the ON/OFF generator.
 pub(crate) fn poisson_arrivals_into<R: Rng>(
     rng: &mut R,
     mix: &IoMix,

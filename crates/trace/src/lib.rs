@@ -14,8 +14,9 @@
 //!   forced deadline misses);
 //! - [`RateSeries`] and [`stats`] — windowed rates and burstiness metrics;
 //! - [`envelope`] — token-bucket `(σ, ρ)` arrival-curve envelopes;
-//! - [`gen`] — deterministic synthetic generators (Poisson, ON/OFF, MMPP,
-//!   paced, b-model) and [`gen::profiles`] calibrated to the paper's traces;
+//! - [`gen`] — deterministic synthetic generators (ON/OFF and
+//!   MMPP-modulated paced arrivals) and [`gen::profiles`] calibrated to the
+//!   paper's traces;
 //! - [`spc`] — SPC-format trace I/O so real repository traces drop in.
 //!
 //! # Examples

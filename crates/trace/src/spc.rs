@@ -77,7 +77,7 @@ impl From<io::Error> for ParseSpcError {
 ///
 /// This is the streaming counterpart of [`read_trace`] (which is built on
 /// it): blank lines and `#` comments are skipped, and each record goes
-/// through the same hardened [`parse_record`] path, so the two agree on
+/// through the same hardened record parser, so the two agree on
 /// every accept/reject decision. Requests are yielded in **file order**
 /// with default ids; callers that need a sorted, densely-identified stream
 /// (the contract of a `Workload`) must sort and assign ids themselves —

@@ -19,7 +19,8 @@ fn main() {
     // Closed: 8 clients, 70 ms think -> ~100 IOPS offered at equilibrium,
     // but arrivals back off whenever the server falls behind.
     let closed = closed_loop(
-        ClosedLoopConfig::new(8, SimDuration::from_millis(70), duration),
+        ClosedLoopConfig::new(8, SimDuration::from_millis(70), duration)
+            .expect("8 clients over a 30 s horizon"),
         FcfsScheduler::new(),
         FixedRateServer::new(capacity),
         |_, t| Request::at(t),
